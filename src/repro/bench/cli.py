@@ -72,15 +72,14 @@ def run_open_loop_target(
     seed: int = 0,
     check: bool = False,
     out: str = "BENCH_serve.json",
-    parallelism: int = 4,
     scaling: bool = True,
 ) -> "tuple":
     """Returns (report text, ok) for the open-loop socket benchmark.
 
     ``check`` shrinks the run for CI (still real sockets, still the
-    serial bit-identity comparison, still the parallel scaling probe at
-    ``parallelism`` partition tasks); ``out`` is where the JSON snapshot
-    lands (empty string skips the write). The scaling probe's
+    serial bit-identity comparison, still the parallel scaling probe);
+    ``out`` is where the JSON snapshot lands (empty string skips the
+    write). The scaling probe's
     parallel-vs-serial throughput ratio is recorded but never gated on:
     it tracks the host's real core count (see
     ``repro.bench.openloop.measure_scaling``). ``ok`` does require both
@@ -109,7 +108,6 @@ def run_open_loop_target(
         if check:
             scaling_block = measure_scaling(
                 workers=4,
-                parallelism=parallelism,
                 queries=8,
                 clients=4,
                 rows=128,
@@ -117,9 +115,7 @@ def run_open_loop_target(
                 seed=seed,
             )
         else:
-            scaling_block = measure_scaling(
-                workers=4, parallelism=parallelism, seed=seed
-            )
+            scaling_block = measure_scaling(workers=4, seed=seed)
         ok = ok and scaling_block["serial_ok"] and scaling_block["parallel_ok"]
         text = text + "\n\n" + format_scaling(scaling_block)
     if out:
@@ -306,13 +302,6 @@ def main(argv=None) -> int:
         "BENCH_recover.json for recover)",
     )
     serve_group.add_argument(
-        "--intra-parallelism",
-        type=int,
-        default=4,
-        help="partition tasks per operator in the scaling probe "
-        "(serve --open-loop)",
-    )
-    serve_group.add_argument(
         "--no-scaling",
         action="store_true",
         help="skip the parallel-vs-serial scaling probe "
@@ -428,7 +417,6 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 check=args.check,
                 out=args.out if args.out is not None else "BENCH_serve.json",
-                parallelism=args.intra_parallelism,
                 scaling=not args.no_scaling,
             )
             print(text)

@@ -353,7 +353,6 @@ def run_open_loop(config: Optional[OpenLoopConfig] = None) -> OpenLoopReport:
 
 def measure_scaling(
     workers: int = 4,
-    parallelism: int = 4,
     queries: int = 24,
     clients: int = 8,
     rows: int = 512,
@@ -364,9 +363,8 @@ def measure_scaling(
 
     Runs the same saturating schedule (every arrival at time ~0, heavy
     Gram/regression templates) twice: once fully serialized
-    (``worker_threads=1``, ``intra_query_parallelism=1``) and once with
-    ``workers`` server threads and ``parallelism`` partition tasks per
-    operator. Both runs keep the serial bit-identity comparison on.
+    (``worker_threads=1``) and once with ``workers`` server threads.
+    Both runs keep the serial bit-identity comparison on.
 
     The ratio is **honest hardware-dependent measurement**: Python
     threads only overlap compute across real cores, so the ratio tracks
@@ -376,13 +374,12 @@ def measure_scaling(
     """
     import os
 
-    def probe(worker_threads: int, intra: int) -> OpenLoopReport:
+    def probe(worker_threads: int) -> OpenLoopReport:
         cluster = ClusterConfig(
             machines=2,
             cores_per_machine=2,
             job_startup_s=1.0,
             worker_threads=worker_threads,
-            intra_query_parallelism=intra,
         )
         config = OpenLoopConfig(
             clients=clients,
@@ -402,8 +399,8 @@ def measure_scaling(
         )
         return run_open_loop(config)
 
-    serial = probe(1, 1)
-    parallel = probe(workers, parallelism)
+    serial = probe(1)
+    parallel = probe(workers)
     ratio = (
         parallel.throughput_qps / serial.throughput_qps
         if serial.throughput_qps > 0
@@ -411,7 +408,6 @@ def measure_scaling(
     )
     return {
         "workers": workers,
-        "intra_query_parallelism": parallelism,
         "queries": queries,
         "clients": clients,
         "rows": rows,
@@ -476,7 +472,6 @@ def format_scaling(scaling: Dict[str, object]) -> str:
     return "\n".join(
         [
             f"throughput scaling — {scaling['workers']} worker thread(s), "
-            f"intra-query parallelism {scaling['intra_query_parallelism']}, "
             f"{scaling['queries']} saturating Gram/regression queries "
             f"({scaling['rows']}x{scaling['dims']})",
             f"{'serial (1 worker) q/s':<26}{scaling['serial_qps']:>12.2f}",

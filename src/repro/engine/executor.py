@@ -25,17 +25,12 @@ batch path only improves *real* wall-clock time. The equivalence
 contract is documented in ``docs/ENGINE.md`` and enforced by
 ``tests/test_exec_modes.py``.
 
-With ``ClusterConfig.intra_query_parallelism > 1`` each operator's
-per-partition loop is dispatched as independent partition tasks to the
-cluster's shared thread pool (see :class:`_PartitionTasks`). Partition
-tasks charge private :class:`OperatorRun` sub-runs that are absorbed in
-deterministic partition order, so rows *and* simulated metrics stay
-bit-identical at any parallelism (``tests/test_parallel_exec.py``).
-Fault injection is schedule-independent by construction: every draw is
-a pure hash of ``(plan seed, kind, operator pre-order index, partition,
-attempt)`` — per-statement coordinates, never thread identity or real
-time — and all injector interaction happens on the coordinator thread
-around the handlers.
+Each operator runs its partitions in partition order on the
+statement's own thread, charging one :class:`OperatorRun`. Fault
+injection is a pure hash of ``(plan seed, kind, operator pre-order
+index, partition, attempt)`` — per-statement coordinates, never thread
+identity or real time — so it is deterministic across runs and across
+concurrently admitted statements.
 """
 
 from __future__ import annotations
@@ -166,81 +161,6 @@ class _EvictionCounter:
                 self.count += n
 
 
-class _PartitionTasks:
-    """Per-partition task dispatch for one operator.
-
-    ``map(fn)`` runs ``fn(slot, run)`` for every partition index and
-    returns the results in partition order. With parallelism disabled
-    (no shared pool) the calls run inline against the operator's main
-    :class:`OperatorRun` — byte-identical to the historical sequential
-    interpreter. With a pool, every partition index gets a private
-    sub-run for the *whole operator* (multi-phase operators like hash
-    exchange or hash join call ``map`` several times; phase N of
-    partition ``i`` keeps charging the same sub-run as phase N-1, which
-    preserves the exact per-slot float-addition chains), and
-    ``finish()`` absorbs the sub-runs back into the main run in
-    partition order. Once an operator uses tasks, *all* its per-slot
-    charging must route through them — mixing direct main-run charges
-    with sub-run charges for the same slot index would reorder float
-    additions.
-    """
-
-    __slots__ = ("run", "count", "pool", "subs", "_params")
-
-    def __init__(self, executor: "Executor", run, count: int):
-        self.run = run
-        self.count = count
-        pool = executor.cluster.task_pool() if count > 1 else None
-        self.pool = pool
-        if pool is None:
-            self.subs = None
-            self._params = None
-        else:
-            self.subs = [
-                executor.cluster.operator(run.name) for _ in range(count)
-            ]
-            self._params = executor._param_snapshot
-
-    def _call(self, slot: int, fn):
-        # runs on a pool thread: install the coordinator's parameter
-        # bindings (ParamCell state is thread-local) before the body
-        for cell, value, bound in self._params:
-            if bound:
-                cell.set(value)
-            else:
-                cell.clear()
-        return fn(slot, self.subs[slot])
-
-    def map(self, fn, count: Optional[int] = None) -> list:
-        n = self.count if count is None else count
-        if self.subs is None:
-            return [fn(slot, self.run) for slot in range(n)]
-        if n <= 1:
-            # not worth a dispatch, but still charge the sub-run so the
-            # per-slot addition chain stays whole across phases
-            return [fn(slot, self.subs[slot]) for slot in range(n)]
-        futures = [
-            self.pool.submit(self._call, slot, fn) for slot in range(n)
-        ]
-        results: list = []
-        error: Optional[BaseException] = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # drain every task before raising
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
-        return results
-
-    def finish(self) -> None:
-        """Absorb the per-partition sub-runs, in partition order."""
-        if self.subs is not None:
-            for sub in self.subs:
-                self.run.absorb(sub)
-
-
 class Executor:
     def __init__(
         self,
@@ -302,10 +222,6 @@ class Executor:
                 and (fault_plan.enabled or fault_plan.storage_enabled)
                 else None
             )
-        #: parameter-cell bindings snapshotted on the coordinator thread
-        #: at ``run()`` time, re-installed inside every partition task
-        #: (cells are thread-local; see ``plan.expressions.ParamCell``)
-        self._param_snapshot: List[tuple] = []
         #: relations memoized by plan-node identity — the lineage store.
         #: A child executed once is never re-executed when a faulted
         #: parent retries; retries replay against these memoized inputs,
@@ -339,24 +255,11 @@ class Executor:
         twin.checkpoints = CheckpointStore(self.checkpoints._evictions)
         return twin
 
-    def _partition_tasks(self, run, count: int) -> _PartitionTasks:
-        return _PartitionTasks(self, run, count)
-
-    def run(
-        self,
-        plan: PhysicalNode,
-        param_cells: Optional[Dict[str, object]] = None,
-    ) -> Tuple[List[tuple], QueryMetrics]:
+    def run(self, plan: PhysicalNode) -> Tuple[List[tuple], QueryMetrics]:
         """Execute a plan; returns (all result rows, metrics for this
         statement, carrying the per-operator estimate-vs-actual trace).
-        The cluster's running metrics are reset first. ``param_cells``
-        (name -> ParamCell) carries prepared-statement bindings from the
-        coordinator thread into partition tasks."""
+        The cluster's running metrics are reset first."""
         self.cluster.reset_metrics()
-        cells = list(param_cells.values()) if param_cells else []
-        self._param_snapshot = [
-            (cell, cell.value, cell.bound) for cell in cells
-        ]
         self._materialized.clear()
         self._op_sequence = 0
         self._node_ops.clear()
@@ -781,21 +684,17 @@ class Executor:
         predicates = resolve_prune_predicates(
             getattr(node, "prune_predicates", ())
         )
-        tasks = self._partition_tasks(run, self.slots)
-
-        def scan_slot(slot, op):
-            rows, sizes = self._scan_partition(storage, slot, predicates, op)
+        parts = []
+        parts_bytes = []
+        for slot in range(self.slots):
+            rows, sizes = self._scan_partition(storage, slot, predicates, run)
             scanned = sum(sizes)
-            op.charge_disk(slot, scanned)
-            op.charge_cpu(slot, tuples=len(rows))
-            op.rows_out += len(rows)
-            op.bytes_out += scanned
-            return rows, sizes
-
-        scanned_parts = tasks.map(scan_slot)
-        tasks.finish()
-        parts = [rows for rows, _ in scanned_parts]
-        parts_bytes = [sizes for _, sizes in scanned_parts]
+            run.charge_disk(slot, scanned)
+            run.charge_cpu(slot, tuples=len(rows))
+            run.rows_out += len(rows)
+            run.bytes_out += scanned
+            parts.append(rows)
+            parts_bytes.append(sizes)
         run.rows_in = run.rows_out
         self.cluster.record(run)
         column_ids = [column.column_id for column in node.columns]
@@ -810,23 +709,13 @@ class Executor:
         the view's lock), every other slot is empty, matching the SINGLE
         layout of the final aggregate or gathered result it replaces."""
         run = self.cluster.operator(f"ViewScan({node.view.name})")
-        tasks = self._partition_tasks(run, self.slots)
-
-        def view_slot(slot, op):
-            if slot != 0:
-                return [], []
-            rows = node.view.answer_rows(node.spec_indices)
-            sizes = [row_bytes(row) for row in rows]
-            op.charge_cpu(slot, tuples=len(rows))
-            op.rows_out += len(rows)
-            op.bytes_out += sum(sizes)
-            return rows, sizes
-
-        answered = tasks.map(view_slot)
-        tasks.finish()
-        parts = [rows for rows, _ in answered]
-        parts_bytes = [sizes for _, sizes in answered]
-        run.rows_in = run.rows_out
+        rows = node.view.answer_rows(node.spec_indices)
+        sizes = [row_bytes(row) for row in rows]
+        run.charge_cpu(0, tuples=len(rows))
+        run.rows_in = run.rows_out = len(rows)
+        run.bytes_out += sum(sizes)
+        parts = [rows] + [[] for _ in range(self.slots - 1)]
+        parts_bytes = [sizes] + [[] for _ in range(self.slots - 1)]
         self.cluster.record(run)
         column_ids = [column.column_id for column in node.columns]
         return DistributedRelation(
@@ -837,10 +726,9 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator("Filter")
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def filter_slot(slot, op):
-            rows = parts_in[slot]
+        parts_out = []
+        parts_bytes = []
+        for slot, rows in enumerate(parts_in):
             cost = EvalCost()
             child_bytes = child.partition_row_bytes(slot)
             kept = []
@@ -850,15 +738,11 @@ class Executor:
                 if node.predicate.evaluate(view, cost):
                     kept.append(row)
                     kept_bytes.append(child_bytes[i])
-            op.charge_eval(slot, len(rows), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(kept)
-            return kept, kept_bytes
-
-        filtered = tasks.map(filter_slot)
-        tasks.finish()
-        parts_out = [kept for kept, _ in filtered]
-        parts_bytes = [sizes for _, sizes in filtered]
+            run.charge_eval(slot, len(rows), cost)
+            run.rows_in += len(rows)
+            run.rows_out += len(kept)
+            parts_out.append(kept)
+            parts_bytes.append(kept_bytes)
         self.cluster.record(run)
         return self._wrap_output(
             child.column_ids,
@@ -872,10 +756,9 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator("Project")
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def project_slot(slot, op):
-            rows = parts_in[slot]
+        parts_out = []
+        parts_bytes = []
+        for slot, rows in enumerate(parts_in):
             cost = EvalCost()
             out = []
             sizes = []
@@ -884,16 +767,12 @@ class Executor:
                 projected = tuple(expr.evaluate(view, cost) for expr in node.exprs)
                 out.append(projected)
                 sizes.append(row_bytes(projected))
-            op.charge_eval(slot, len(rows), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            op.bytes_out += sum(sizes)
-            return out, sizes
-
-        projected_parts = tasks.map(project_slot)
-        tasks.finish()
-        parts_out = [out for out, _ in projected_parts]
-        parts_bytes = [sizes for _, sizes in projected_parts]
+            run.charge_eval(slot, len(rows), cost)
+            run.rows_in += len(rows)
+            run.rows_out += len(out)
+            run.bytes_out += sum(sizes)
+            parts_out.append(out)
+            parts_bytes.append(sizes)
         self.cluster.record(run)
         column_ids = [column.column_id for column in node.columns]
         return self._wrap_output(
@@ -958,59 +837,42 @@ class Executor:
                 child.column_ids, parts_out, SINGLE, row_bytes=bytes_out
             )
 
-        # hash repartition. Map tasks evaluate partition keys and charge
-        # the map side; the coordinator then scatters rows sequentially
-        # in (source slot, row) order — that order is what fixes both
-        # the per-target row order and the balanced first-seen key
-        # assignment — and reduce tasks charge the receive side. Both
-        # phases share one task set so every slot's float-addition chain
-        # stays whole.
-        tasks = self._partition_tasks(run, self.slots)
-
-        def map_side(slot, op):
-            part = source_parts[slot]
+        # hash repartition: the map side evaluates partition keys and
+        # scatters rows in (source slot, row) order — that order fixes
+        # both the per-target row order and the balanced first-seen key
+        # assignment — then the reduce side charges the receive.
+        balanced_assignment: Dict[tuple, int] = {}
+        for slot, part in enumerate(source_parts):
             cost = EvalCost()
             moved = 0.0
-            keys = []
             child_bytes = child.partition_row_bytes(slot)
             for i, row in enumerate(part):
                 view = child.view(row)
-                keys.append(tuple(expr.evaluate(view, cost) for expr in node.keys))
+                key = tuple(expr.evaluate(view, cost) for expr in node.keys)
                 moved += child_bytes[i]
-            op.charge_eval(slot, len(part), cost)
-            op.charge_disk(slot, moved)  # map output spill
-            op.charge_network(moved)
-            op.rows_in += len(part)
-            return keys
-
-        keyed = tasks.map(map_side, count=len(source_parts))
-        balanced_assignment: Dict[tuple, int] = {}
-        for slot, part in enumerate(source_parts):
-            child_bytes = child.partition_row_bytes(slot)
-            for i, key in enumerate(keyed[slot]):
                 if self.cluster.config.balanced_placement:
                     target = balanced_assignment.setdefault(
                         key, len(balanced_assignment) % self.slots
                     )
                 else:
                     target = stable_hash(key) % self.slots
-                parts_out[target].append(part[i])
+                parts_out[target].append(row)
                 bytes_out[target].append(child_bytes[i])
+            run.charge_eval(slot, len(part), cost)
+            run.charge_disk(slot, moved)  # map output spill
+            run.charge_network(moved)
+            run.rows_in += len(part)
 
-        def reduce_side(slot, op):
+        for slot in range(self.slots):
             rows = parts_out[slot]
             received = sum(bytes_out[slot])
             # reduce-side staging above the budget spills before the read
-            if self._spill_state(op, slot, received):
-                rows = self._spill_roundtrip_rows(rows)
-                parts_out[slot] = rows
-            op.charge_disk(slot, received)  # reduce-side read
-            op.charge_cpu(slot, tuples=len(rows))
-            op.rows_out += len(rows)
-            op.bytes_out += received
-
-        tasks.map(reduce_side)
-        tasks.finish()
+            if self._spill_state(run, slot, received):
+                parts_out[slot] = rows = self._spill_roundtrip_rows(rows)
+            run.charge_disk(slot, received)  # reduce-side read
+            run.charge_cpu(slot, tuples=len(rows))
+            run.rows_out += len(rows)
+            run.bytes_out += received
         self.cluster.record(run)
         return DistributedRelation(
             child.column_ids, parts_out, node.partitioning, row_bytes=bytes_out
@@ -1035,11 +897,8 @@ class Executor:
             shared_bytes = build_rel.partition_total_bytes(0)
             if self._over_budget(shared_bytes):
                 shared_rows = self._spill_roundtrip_rows(shared_rows)
-        # build and probe share one task set: both phases of partition
-        # ``i`` charge the same per-task sub-run
-        tasks = self._partition_tasks(run, self.slots)
-
-        def build_slot(slot, op):
+        tables = []
+        for slot in range(self.slots):
             if build_broadcast:
                 build_rows, build_bytes = shared_rows, shared_bytes
             else:
@@ -1047,7 +906,7 @@ class Executor:
                 build_bytes = build_rel.partition_total_bytes(slot)
                 if self._over_budget(build_bytes):
                     build_rows = self._spill_roundtrip_rows(build_rows)
-            self._spill_state(op, slot, build_bytes)
+            self._spill_state(run, slot, build_bytes)
             cost = EvalCost()
             table: Dict[tuple, List[tuple]] = {}
             for row in build_rows:
@@ -1056,22 +915,18 @@ class Executor:
                 if any(value is None for value in key):
                     continue
                 table.setdefault(_hashable(key), []).append(row)
-            op.charge_eval(slot, len(build_rows), cost)
-            op.rows_in += len(build_rows)
-            return table
-
-        tables = tasks.map(build_slot)
+            run.charge_eval(slot, len(build_rows), cost)
+            run.rows_in += len(build_rows)
+            tables.append(table)
 
         out_index = {
             column.column_id: i for i, column in enumerate(node.columns)
         }
-
-        def probe_slot(slot, op):
-            rows = probe_parts[slot]
+        parts_out = []
+        for slot, rows in enumerate(probe_parts):
             cost = EvalCost()
             table = tables[slot]
             out: List[tuple] = []
-            emitted = 0
             for row in rows:
                 view = probe_rel.view(row)
                 key = tuple(expr.evaluate(view, cost) for expr in node.probe_keys)
@@ -1089,14 +944,10 @@ class Executor:
                         if not node.residual.evaluate(joined_view, cost):
                             continue
                     out.append(joined)
-                    emitted += 1
-            op.charge_eval(slot, len(rows) + emitted, cost)
-            op.rows_in += len(rows)
-            op.rows_out += emitted
-            return out
-
-        parts_out = tasks.map(probe_slot)
-        tasks.finish()
+            run.charge_eval(slot, len(rows) + len(out), cost)
+            run.rows_in += len(rows)
+            run.rows_out += len(out)
+            parts_out.append(out)
         self.cluster.record(run)
         column_ids = [column.column_id for column in node.columns]
         return DistributedRelation(column_ids, parts_out, node.partitioning)
@@ -1112,13 +963,10 @@ class Executor:
         if probe_was_broadcast:
             raise ExecutionError("nested-loop probe side cannot be broadcast")
         out_index = {column.column_id: i for i, column in enumerate(node.columns)}
-        tasks = self._partition_tasks(run, len(probe_parts))
-
-        def join_slot(slot, op):
-            rows = probe_parts[slot]
+        parts_out = []
+        for slot, rows in enumerate(probe_parts):
             cost = EvalCost()
             out: List[tuple] = []
-            emitted = 0
             for row in rows:
                 for build_row in build_rows:
                     joined = (
@@ -1129,14 +977,12 @@ class Executor:
                         if not node.residual.evaluate(joined_view, cost):
                             continue
                     out.append(joined)
-                    emitted += 1
-            op.charge_eval(slot, len(rows) * max(len(build_rows), 1) + emitted, cost)
-            op.rows_in += len(rows)
-            op.rows_out += emitted
-            return out
-
-        parts_out = tasks.map(join_slot)
-        tasks.finish()
+            run.charge_eval(
+                slot, len(rows) * max(len(build_rows), 1) + len(out), cost
+            )
+            run.rows_in += len(rows)
+            run.rows_out += len(out)
+            parts_out.append(out)
         self.cluster.record(run)
         column_ids = [column.column_id for column in node.columns]
         return DistributedRelation(column_ids, parts_out, node.partitioning)
@@ -1147,10 +993,8 @@ class Executor:
         parts_in, _ = self._effective_partitions(child)
         if child.partitioning.kind == "broadcast":
             raise ExecutionError("aggregating a broadcast relation")
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def aggregate_slot(slot, op):
-            rows = parts_in[slot]
+        parts_out = []
+        for slot, rows in enumerate(parts_in):
             cost = EvalCost()
             groups: Dict[tuple, list] = {}
             for row in rows:
@@ -1185,17 +1029,14 @@ class Executor:
             # simulated in every mode — DISTINCT states are Python sets
             # whose iteration order would not survive a physical round
             # trip, and the final fold must stay bit-identical.
-            self._spill_state(op, slot, sum(row_bytes(row) for row in out))
+            self._spill_state(run, slot, sum(row_bytes(row) for row in out))
             # hash aggregation costs ~2x a plain per-tuple pass: hash the
             # key, probe the table, update the state (this is why the
             # paper's Figure 4 shows aggregation dominating the join)
-            op.charge_eval(slot, 2 * len(rows) + len(out), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            return out
-
-        parts_out = tasks.map(aggregate_slot)
-        tasks.finish()
+            run.charge_eval(slot, 2 * len(rows) + len(out), cost)
+            run.rows_in += len(rows)
+            run.rows_out += len(out)
+            parts_out.append(out)
         self.cluster.record(run)
         column_ids = [column.column_id for column in node.columns]
         return DistributedRelation(column_ids, parts_out, ROUND_ROBIN)
@@ -1204,10 +1045,9 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator("FinalAggregate")
         key_count = len(node.group_columns)
-        tasks = self._partition_tasks(run, len(child.partitions))
-
-        def merge_slot(slot, op):
-            rows = partition_rows(child.partitions[slot])
+        parts_out = []
+        for slot, part in enumerate(child.partitions):
+            rows = partition_rows(part)
             cost = EvalCost()
             merged: Dict[tuple, list] = {}
             for row in rows:
@@ -1236,16 +1076,11 @@ class Executor:
                         state = fold
                     finished.append(spec.aggregate.finish(state))
                 out.append(tuple(key) + tuple(finished))
-            op.charge_eval(slot, len(rows), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            return len(rows) > 0, out
-
-        merged_parts = tasks.map(merge_slot)
-        tasks.finish()
-        saw_rows = any(saw for saw, _ in merged_parts)
-        parts_out = [out for _, out in merged_parts]
-        if key_count == 0 and not saw_rows:
+            run.charge_eval(slot, len(rows), cost)
+            run.rows_in += len(rows)
+            run.rows_out += len(out)
+            parts_out.append(out)
+        if key_count == 0 and run.rows_in == 0:
             # SQL scalar aggregates yield exactly one row on empty input
             finished = []
             for spec in node.aggregates:
@@ -1260,25 +1095,20 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator(f"Distinct({'local' if node.local else 'final'})")
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def distinct_slot(slot, op):
-            rows = parts_in[slot]
+        parts_out = []
+        for slot, rows in enumerate(parts_in):
             seen = {}
             for row in rows:
                 seen.setdefault(_hashable(row), row)
             out = list(seen.values())
-            op.charge_cpu(
+            run.charge_cpu(
                 slot,
                 tuples=len(rows),
                 stream_bytes=child.partition_total_bytes(slot),
             )
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            return out
-
-        parts_out = tasks.map(distinct_slot)
-        tasks.finish()
+            run.rows_in += len(rows)
+            run.rows_out += len(out)
+            parts_out.append(out)
         self.cluster.record(run)
         return self._wrap_output(
             child.column_ids, parts_out, was_broadcast, child.partitioning
@@ -1288,10 +1118,8 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator(f"Sort({'final' if node.final else 'local'})")
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def sort_slot(slot, op):
-            rows = parts_in[slot]
+        parts_out = []
+        for slot, rows in enumerate(parts_in):
             ordered = list(rows)
             for expr, ascending in reversed(node.keys):
                 cost = EvalCost()
@@ -1299,21 +1127,18 @@ class Executor:
                     key=lambda row: _sort_key(expr.evaluate(child.view(row), cost)),
                     reverse=not ascending,
                 )
-                op.charge_eval(slot, 0, cost)
+                run.charge_eval(slot, 0, cost)
             if node.limit is not None:
                 ordered = ordered[: node.limit]
             comparisons = len(rows) * max(1.0, math.log2(len(rows) + 1))
-            op.charge_cpu(slot, tuples=comparisons)
+            run.charge_cpu(slot, tuples=comparisons)
             # the full sort materializes an ordered copy of the whole
             # partition before any LIMIT truncation — O(n) state (the
             # bounded-heap PTopK holds O(k); see _top_k)
-            op.note_peak(child.partition_total_bytes(slot))
-            op.rows_in += len(rows)
-            op.rows_out += len(ordered)
-            return ordered
-
-        parts_out = tasks.map(sort_slot)
-        tasks.finish()
+            run.note_peak(child.partition_total_bytes(slot))
+            run.rows_in += len(rows)
+            run.rows_out += len(ordered)
+            parts_out.append(ordered)
         self.cluster.record(run)
         return self._wrap_output(
             child.column_ids, parts_out, was_broadcast, child.partitioning
@@ -1325,11 +1150,9 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator(f"TopK({'final' if node.final else 'local'})")
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
         ascending = [asc for _, asc in node.keys]
-
-        def topk_slot(slot, op):
-            rows = parts_in[slot]
+        parts_out = []
+        for slot, rows in enumerate(parts_in):
             key_columns = []
             for expr, _asc in node.keys:
                 cost = EvalCost()
@@ -1339,19 +1162,16 @@ class Executor:
                         for row in rows
                     ]
                 )
-                op.charge_eval(slot, 0, cost)
+                run.charge_eval(slot, 0, cost)
             chosen = _top_k_indices(key_columns, ascending, len(rows), node.limit)
             out = [rows[i] for i in chosen]
             sizes = child.partition_row_bytes(slot)
-            op.charge_cpu(slot, tuples=_top_k_comparisons(len(rows), node.limit))
+            run.charge_cpu(slot, tuples=_top_k_comparisons(len(rows), node.limit))
             # only the heap's k survivors are ever held, not the partition
-            op.note_peak(float(sum(sizes[i] for i in chosen)))
-            op.rows_in += len(rows)
-            op.rows_out += len(out)
-            return out
-
-        parts_out = tasks.map(topk_slot)
-        tasks.finish()
+            run.note_peak(float(sum(sizes[i] for i in chosen)))
+            run.rows_in += len(rows)
+            run.rows_out += len(out)
+            parts_out.append(out)
         self.cluster.record(run)
         return self._wrap_output(
             child.column_ids, parts_out, was_broadcast, child.partitioning
@@ -1407,17 +1227,16 @@ class Executor:
         use_columnar = (
             not predicates and not disk_mode and hasattr(storage, "columnar")
         )
-        tasks = self._partition_tasks(run, self.slots)
-
-        def scan_slot(slot, op):
+        parts = []
+        for slot in range(self.slots):
             if use_columnar:
                 columns, sizes = storage.columnar(slot)
                 batch = Batch(column_ids, columns, len(sizes), row_bytes=sizes)
                 if hasattr(storage, "segments"):
-                    op.segments_scanned += len(storage.segments(slot))
+                    run.segments_scanned += len(storage.segments(slot))
             else:
                 rows, size_list = self._scan_partition(
-                    storage, slot, predicates, op
+                    storage, slot, predicates, run
                 )
                 batch = Batch.from_rows(
                     column_ids,
@@ -1425,14 +1244,11 @@ class Executor:
                     row_bytes=np.asarray(size_list, dtype=np.float64),
                 )
             scanned = batch.total_bytes()
-            op.charge_disk(slot, scanned)
-            op.charge_cpu(slot, tuples=batch.length)
-            op.rows_out += batch.length
-            op.bytes_out += scanned
-            return batch
-
-        parts = tasks.map(scan_slot)
-        tasks.finish()
+            run.charge_disk(slot, scanned)
+            run.charge_cpu(slot, tuples=batch.length)
+            run.rows_out += batch.length
+            run.bytes_out += scanned
+            parts.append(batch)
         run.rows_in = run.rows_out
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts, node.partitioning)
@@ -1442,23 +1258,17 @@ class Executor:
         partition, wrapped as columnar batches."""
         run = self.cluster.operator(f"ViewScan({node.view.name})")
         column_ids = [column.column_id for column in node.columns]
-        tasks = self._partition_tasks(run, self.slots)
-
-        def view_slot(slot, op):
-            if slot != 0:
-                return Batch.empty_like(column_ids)
-            rows = node.view.answer_rows(node.spec_indices)
-            sizes = [row_bytes(row) for row in rows]
-            op.charge_cpu(slot, tuples=len(rows))
-            op.rows_out += len(rows)
-            op.bytes_out += sum(sizes)
-            return Batch.from_rows(
-                column_ids, rows, row_bytes=np.asarray(sizes, dtype=np.float64)
-            )
-
-        parts = tasks.map(view_slot)
-        tasks.finish()
-        run.rows_in = run.rows_out
+        rows = node.view.answer_rows(node.spec_indices)
+        sizes = [row_bytes(row) for row in rows]
+        run.charge_cpu(0, tuples=len(rows))
+        run.rows_in = run.rows_out = len(rows)
+        run.bytes_out += sum(sizes)
+        answered = Batch.from_rows(
+            column_ids, rows, row_bytes=np.asarray(sizes, dtype=np.float64)
+        )
+        parts = [answered] + [
+            Batch.empty_like(column_ids) for _ in range(self.slots - 1)
+        ]
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts, node.partitioning)
 
@@ -1466,20 +1276,15 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator("Filter")
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def filter_slot(slot, op):
-            batch = parts_in[slot]
+        parts_out = []
+        for slot, batch in enumerate(parts_in):
             cost = EvalCost()
             mask = truth(node.predicate.evaluate_batch(batch, cost))
             kept = batch.filter(mask)
-            op.charge_eval(slot, batch.length, cost)
-            op.rows_in += batch.length
-            op.rows_out += kept.length
-            return kept
-
-        parts_out = tasks.map(filter_slot)
-        tasks.finish()
+            run.charge_eval(slot, batch.length, cost)
+            run.rows_in += batch.length
+            run.rows_out += kept.length
+            parts_out.append(kept)
         self.cluster.record(run)
         return self._wrap_output_batch(
             child.column_ids, parts_out, was_broadcast, child.partitioning
@@ -1490,21 +1295,16 @@ class Executor:
         run = self.cluster.operator("Project")
         parts_in, was_broadcast = self._effective_partitions(child)
         column_ids = [column.column_id for column in node.columns]
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def project_slot(slot, op):
-            batch = parts_in[slot]
+        parts_out = []
+        for slot, batch in enumerate(parts_in):
             cost = EvalCost()
             columns = [expr.evaluate_batch(batch, cost) for expr in node.exprs]
             out = Batch(column_ids, columns, batch.length)
-            op.charge_eval(slot, batch.length, cost)
-            op.rows_in += batch.length
-            op.rows_out += out.length
-            op.bytes_out += out.total_bytes()
-            return out
-
-        parts_out = tasks.map(project_slot)
-        tasks.finish()
+            run.charge_eval(slot, batch.length, cost)
+            run.rows_in += batch.length
+            run.rows_out += out.length
+            run.bytes_out += out.total_bytes()
+            parts_out.append(out)
         self.cluster.record(run)
         return self._wrap_output_batch(
             column_ids, parts_out, was_broadcast, node.partitioning
@@ -1556,31 +1356,23 @@ class Executor:
             return DistributedRelation(child.column_ids, parts_out, SINGLE)
 
         # hash repartition: vectorized key evaluation, per-row placement.
-        # Map tasks evaluate keys and charge the map side; the
-        # coordinator buckets sequentially in (source slot, row) order —
-        # fixing the per-target batch order and the balanced first-seen
-        # key assignment — and reduce tasks concatenate and charge the
-        # receive side. Both phases share one task set.
+        # The map side buckets in (source slot, row) order — fixing the
+        # per-target batch order and the balanced first-seen key
+        # assignment — and the reduce side concatenates and charges the
+        # receive.
         balanced = self.cluster.config.balanced_placement
         balanced_assignment: Dict[tuple, int] = {}
         scattered: List[List[Batch]] = [[] for _ in range(self.slots)]
-        tasks = self._partition_tasks(run, self.slots)
-
-        def map_side(slot, op):
-            batch = source_parts[slot]
+        for slot, batch in enumerate(source_parts):
             cost = EvalCost()
             keys = self._join_keys_batch(batch, node.keys, cost)
             moved = batch.total_bytes()
-            op.charge_eval(slot, batch.length, cost)
-            op.charge_disk(slot, moved)  # map output spill
-            op.charge_network(moved)
-            op.rows_in += batch.length
-            return keys
-
-        keyed = tasks.map(map_side, count=len(source_parts))
-        for slot, batch in enumerate(source_parts):
+            run.charge_eval(slot, batch.length, cost)
+            run.charge_disk(slot, moved)  # map output spill
+            run.charge_network(moved)
+            run.rows_in += batch.length
             buckets: List[List[int]] = [[] for _ in range(self.slots)]
-            for i, key in enumerate(keyed[slot]):
+            for i, key in enumerate(keys):
                 if balanced:
                     target = balanced_assignment.setdefault(
                         key, len(balanced_assignment) % self.slots
@@ -1594,22 +1386,20 @@ class Executor:
                         batch.take(np.asarray(indices, dtype=np.int64))
                     )
 
-        def reduce_side(slot, op):
-            received_batch = Batch.concat(child.column_ids, scattered[slot])
+        parts_out = []
+        for slot, pieces in enumerate(scattered):
+            received_batch = Batch.concat(child.column_ids, pieces)
             received = received_batch.total_bytes()
             # reduce-side staging above the budget spills before the read
-            if self._spill_state(op, slot, received):
+            if self._spill_state(run, slot, received):
                 received_batch = self._spill_roundtrip_batch(
                     received_batch, child.column_ids
                 )
-            op.charge_disk(slot, received)  # reduce-side read
-            op.charge_cpu(slot, tuples=received_batch.length)
-            op.rows_out += received_batch.length
-            op.bytes_out += received
-            return received_batch
-
-        parts_out = tasks.map(reduce_side)
-        tasks.finish()
+            run.charge_disk(slot, received)  # reduce-side read
+            run.charge_cpu(slot, tuples=received_batch.length)
+            run.rows_out += received_batch.length
+            run.bytes_out += received
+            parts_out.append(received_batch)
         self.cluster.record(run)
         return DistributedRelation(child.column_ids, parts_out, node.partitioning)
 
@@ -1671,10 +1461,7 @@ class Executor:
 
         # build per-slot hash tables; a broadcast build side is one shared
         # chunk, but the row path re-evaluates its keys on every slot, so
-        # the identical cost is charged per slot here as well. Build and
-        # probe share one task set: both phases of partition ``i`` charge
-        # the same per-task sub-run.
-        tasks = self._partition_tasks(run, self.slots)
+        # the identical cost is charged per slot here as well
         if build_broadcast:
             shared = build_rel.partitions[0]
             shared_bytes = build_rel.partition_total_bytes(0)
@@ -1683,34 +1470,28 @@ class Executor:
             shared_cost, shared_table = self._build_join_table(
                 shared, node.build_keys
             )
-
-            def build_slot(slot, op):
-                self._spill_state(op, slot, shared_bytes)
-                op.charge_eval(slot, shared.length, shared_cost)
-                op.rows_in += shared.length
-                return shared_table, shared
-
-        else:
-
-            def build_slot(slot, op):
+        tables = []
+        build_batches = []
+        for slot in range(self.slots):
+            if build_broadcast:
+                batch, build_bytes = shared, shared_bytes
+                cost, table = shared_cost, shared_table
+            else:
                 batch = build_rel.partitions[slot]
                 build_bytes = build_rel.partition_total_bytes(slot)
                 if self._over_budget(build_bytes):
                     batch = self._spill_roundtrip_batch(
                         batch, build_rel.column_ids
                     )
-                self._spill_state(op, slot, build_bytes)
                 cost, table = self._build_join_table(batch, node.build_keys)
-                op.charge_eval(slot, batch.length, cost)
-                op.rows_in += batch.length
-                return table, batch
+            self._spill_state(run, slot, build_bytes)
+            run.charge_eval(slot, batch.length, cost)
+            run.rows_in += batch.length
+            tables.append(table)
+            build_batches.append(batch)
 
-        built = tasks.map(build_slot)
-        tables = [table for table, _ in built]
-        build_batches = [batch for _, batch in built]
-
-        def probe_slot(slot, op):
-            batch = probe_parts[slot]
+        parts_out = []
+        for slot, batch in enumerate(probe_parts):
             cost = EvalCost()
             table = tables[slot]
             probe_indices: List[int] = []
@@ -1737,13 +1518,10 @@ class Executor:
             if node.residual is not None and joined.length:
                 residual_mask = truth(node.residual.evaluate_batch(joined, cost))
                 joined = joined.filter(residual_mask)
-            op.charge_eval(slot, batch.length + joined.length, cost)
-            op.rows_in += batch.length
-            op.rows_out += joined.length
-            return joined
-
-        parts_out = tasks.map(probe_slot)
-        tasks.finish()
+            run.charge_eval(slot, batch.length + joined.length, cost)
+            run.rows_in += batch.length
+            run.rows_out += joined.length
+            parts_out.append(joined)
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 
@@ -1759,10 +1537,8 @@ class Executor:
             raise ExecutionError("nested-loop probe side cannot be broadcast")
         column_ids = [column.column_id for column in node.columns]
         build_count = build_batch.length
-        tasks = self._partition_tasks(run, len(probe_parts))
-
-        def join_slot(slot, op):
-            batch = probe_parts[slot]
+        parts_out = []
+        for slot, batch in enumerate(probe_parts):
             cost = EvalCost()
             probe_count = batch.length
             # probe-major cross product, matching the row path's loop order
@@ -1783,15 +1559,12 @@ class Executor:
             if node.residual is not None and joined.length:
                 residual_mask = truth(node.residual.evaluate_batch(joined, cost))
                 joined = joined.filter(residual_mask)
-            op.charge_eval(
+            run.charge_eval(
                 slot, probe_count * max(build_count, 1) + joined.length, cost
             )
-            op.rows_in += probe_count
-            op.rows_out += joined.length
-            return joined
-
-        parts_out = tasks.map(join_slot)
-        tasks.finish()
+            run.rows_in += probe_count
+            run.rows_out += joined.length
+            parts_out.append(joined)
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, node.partitioning)
 
@@ -1803,10 +1576,8 @@ class Executor:
             raise ExecutionError("aggregating a broadcast relation")
         column_ids = [column.column_id for column in node.columns]
         specs = node.aggregates
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def aggregate_slot(slot, op):
-            batch = parts_in[slot]
+        parts_out = []
+        for slot, batch in enumerate(parts_in):
             cost = EvalCost()
             key_lists = [
                 expr.evaluate_batch(batch, cost).pylist()
@@ -1842,15 +1613,12 @@ class Executor:
             # the DISTINCT-state note there); the sequential sum visits
             # rows in the identical first-seen group order
             self._spill_state(
-                op, slot, sum(row_bytes(row) for row in out_rows)
+                run, slot, sum(row_bytes(row) for row in out_rows)
             )
-            op.charge_eval(slot, 2 * batch.length + len(out_rows), cost)
-            op.rows_in += batch.length
-            op.rows_out += len(out_rows)
-            return Batch.from_rows(column_ids, out_rows)
-
-        parts_out = tasks.map(aggregate_slot)
-        tasks.finish()
+            run.charge_eval(slot, 2 * batch.length + len(out_rows), cost)
+            run.rows_in += batch.length
+            run.rows_out += len(out_rows)
+            parts_out.append(Batch.from_rows(column_ids, out_rows))
         self.cluster.record(run)
         return DistributedRelation(column_ids, parts_out, ROUND_ROBIN)
 
@@ -1913,11 +1681,10 @@ class Executor:
         run = self.cluster.operator("FinalAggregate")
         key_count = len(node.group_columns)
         column_ids = [column.column_id for column in node.columns]
-        tasks = self._partition_tasks(run, len(child.partitions))
-
-        def merge_slot(slot, op):
+        parts_out = []
+        for slot, part in enumerate(child.partitions):
             # state merging is inherently value-at-a-time; materialize rows
-            rows = partition_rows(child.partitions[slot])
+            rows = partition_rows(part)
             cost = EvalCost()
             merged: Dict[tuple, list] = {}
             for row in rows:
@@ -1946,16 +1713,11 @@ class Executor:
                         state = fold
                     finished.append(spec.aggregate.finish(state))
                 out_rows.append(tuple(key) + tuple(finished))
-            op.charge_eval(slot, len(rows), cost)
-            op.rows_in += len(rows)
-            op.rows_out += len(out_rows)
-            return len(rows) > 0, Batch.from_rows(column_ids, out_rows)
-
-        merged_parts = tasks.map(merge_slot)
-        tasks.finish()
-        saw_rows = any(saw for saw, _ in merged_parts)
-        parts_out = [batch for _, batch in merged_parts]
-        if key_count == 0 and not saw_rows:
+            run.charge_eval(slot, len(rows), cost)
+            run.rows_in += len(rows)
+            run.rows_out += len(out_rows)
+            parts_out.append(Batch.from_rows(column_ids, out_rows))
+        if key_count == 0 and run.rows_in == 0:
             # SQL scalar aggregates yield exactly one row on empty input
             finished = []
             for spec in node.aggregates:
@@ -1969,10 +1731,8 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator(f"Distinct({'local' if node.local else 'final'})")
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def distinct_slot(slot, op):
-            batch = parts_in[slot]
+        parts_out = []
+        for slot, batch in enumerate(parts_in):
             rows = batch.rows()
             seen: Dict[tuple, int] = {}
             keep: List[int] = []
@@ -1981,15 +1741,12 @@ class Executor:
                     seen[_hashable(row)] = i
                     keep.append(i)
             out = batch.take(np.asarray(keep, dtype=np.int64))
-            op.charge_cpu(
+            run.charge_cpu(
                 slot, tuples=batch.length, stream_bytes=batch.total_bytes()
             )
-            op.rows_in += batch.length
-            op.rows_out += out.length
-            return out
-
-        parts_out = tasks.map(distinct_slot)
-        tasks.finish()
+            run.rows_in += batch.length
+            run.rows_out += out.length
+            parts_out.append(out)
         self.cluster.record(run)
         return self._wrap_output_batch(
             child.column_ids, parts_out, was_broadcast, child.partitioning
@@ -1999,10 +1756,8 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator(f"Sort({'final' if node.final else 'local'})")
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
-
-        def sort_slot(slot, op):
-            batch = parts_in[slot]
+        parts_out = []
+        for slot, batch in enumerate(parts_in):
             order = list(range(batch.length))
             for expr, ascending in reversed(node.keys):
                 cost = EvalCost()
@@ -2011,22 +1766,19 @@ class Executor:
                     for value in expr.evaluate_batch(batch, cost).pylist()
                 ]
                 order.sort(key=sort_keys.__getitem__, reverse=not ascending)
-                op.charge_eval(slot, 0, cost)
+                run.charge_eval(slot, 0, cost)
             if node.limit is not None:
                 order = order[: node.limit]
             out = batch.take(np.asarray(order, dtype=np.int64))
             comparisons = batch.length * max(1.0, math.log2(batch.length + 1))
-            op.charge_cpu(slot, tuples=comparisons)
+            run.charge_cpu(slot, tuples=comparisons)
             # the full sort materializes an ordered copy of the whole
             # partition before any LIMIT truncation — O(n) state (the
             # bounded-heap PTopK holds O(k); see _top_k_batch)
-            op.note_peak(child.partition_total_bytes(slot))
-            op.rows_in += batch.length
-            op.rows_out += out.length
-            return out
-
-        parts_out = tasks.map(sort_slot)
-        tasks.finish()
+            run.note_peak(child.partition_total_bytes(slot))
+            run.rows_in += batch.length
+            run.rows_out += out.length
+            parts_out.append(out)
         self.cluster.record(run)
         return self._wrap_output_batch(
             child.column_ids, parts_out, was_broadcast, child.partitioning
@@ -2038,11 +1790,9 @@ class Executor:
         child = self.execute(node.child)
         run = self.cluster.operator(f"TopK({'final' if node.final else 'local'})")
         parts_in, was_broadcast = self._effective_partitions(child)
-        tasks = self._partition_tasks(run, len(parts_in))
         ascending = [asc for _, asc in node.keys]
-
-        def topk_slot(slot, op):
-            batch = parts_in[slot]
+        parts_out = []
+        for slot, batch in enumerate(parts_in):
             key_columns = []
             for expr, _asc in node.keys:
                 cost = EvalCost()
@@ -2052,23 +1802,20 @@ class Executor:
                         for value in expr.evaluate_batch(batch, cost).pylist()
                     ]
                 )
-                op.charge_eval(slot, 0, cost)
+                run.charge_eval(slot, 0, cost)
             chosen = _top_k_indices(
                 key_columns, ascending, batch.length, node.limit
             )
             out = batch.take(np.asarray(chosen, dtype=np.int64))
             sizes = child.partition_row_bytes(slot)
-            op.charge_cpu(
+            run.charge_cpu(
                 slot, tuples=_top_k_comparisons(batch.length, node.limit)
             )
             # only the heap's k survivors are ever held, not the partition
-            op.note_peak(float(sum(sizes[i] for i in chosen)))
-            op.rows_in += batch.length
-            op.rows_out += out.length
-            return out
-
-        parts_out = tasks.map(topk_slot)
-        tasks.finish()
+            run.note_peak(float(sum(sizes[i] for i in chosen)))
+            run.rows_in += batch.length
+            run.rows_out += out.length
+            parts_out.append(out)
         self.cluster.record(run)
         return self._wrap_output_batch(
             child.column_ids, parts_out, was_broadcast, child.partitioning

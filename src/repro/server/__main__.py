@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--storage-mode", choices=("memory", "disk"), default="memory"
     )
-    parser.add_argument("--slots", type=int, default=None)
     parser.add_argument(
         "--init", default=None, metavar="SCRIPT",
         help="SQL script to seed a fresh database (skipped on recovery)",
@@ -69,29 +68,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def build_config(args: argparse.Namespace) -> ClusterConfig:
+    """The cluster config to serve with, from parsed command-line
+    ``args``; raises ValueError when ``--durability wal`` has no
+    ``--data-dir``."""
     durability = args.durability
     if durability is None:
         durability = "wal" if args.data_dir else "off"
     if durability == "wal" and not args.data_dir:
-        print("--durability wal requires --data-dir", file=sys.stderr)
+        raise ValueError("--durability wal requires --data-dir")
+    return ClusterConfig(
+        storage_mode=args.storage_mode,
+        durability_mode=durability,
+        data_dir=args.data_dir,
+    )
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        config = build_config(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    updates = {
-        "storage_mode": args.storage_mode,
-        "durability_mode": durability,
-        "data_dir": args.data_dir,
-    }
-    if args.slots is not None:
-        updates["slots"] = args.slots
-    config = ClusterConfig().with_updates(**updates)
 
     from ..storage.wal import has_existing_state
 
     recovering = bool(
-        durability == "wal"
-        and args.data_dir
-        and has_existing_state(args.data_dir)
+        config.durability_mode == "wal" and has_existing_state(args.data_dir)
     )
     db = Database.open(config)
     if recovering and db.durability is not None:

@@ -24,10 +24,9 @@ threads (``run_in_executor``) driving the thread-safe
 statements: the service releases its lock around cluster execution and
 the database's reader–writer admission gate runs concurrent SELECTs
 against a stable catalog snapshot (DDL/DML still admits exclusively).
-Inside each statement, operators additionally fan their partition work
-out to the engine's task pool when
-``ClusterConfig.intra_query_parallelism`` > 1. Two load-shedding layers
-sit in front of the pool, both answering 429 with a ``Retry-After``
+Inside each statement, operators run their partitions in partition
+order on that statement's worker thread. Two load-shedding layers sit
+in front of the pool, both answering 429 with a ``Retry-After``
 header:
 
 * a server-wide in-flight cap (``ServerConfig.max_inflight``) bounding

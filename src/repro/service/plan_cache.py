@@ -100,9 +100,9 @@ class PlanCacheKey:
     param_types: Tuple
     scope: str = ""
     #: execution-relevant configuration baked into the compiled plan:
-    #: (execution_mode, storage_mode, intra_query_parallelism). A plan
-    #: compiled under one mode must never serve another — the physical
-    #: plan shape and cost decisions can differ.
+    #: (execution_mode, storage_mode). A plan compiled under one mode
+    #: must never serve another — the physical plan shape and cost
+    #: decisions can differ.
     exec_fingerprint: Tuple = ()
     #: version of the database's cardinality-feedback statistics at
     #: compile time; feedback that materially changes an estimate bumps

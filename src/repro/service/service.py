@@ -347,7 +347,6 @@ class QueryService:
             exec_fingerprint=(
                 self.db.execution_mode,
                 self.db.config.storage_mode,
-                self.db.config.intra_query_parallelism,
             ),
             feedback_version=self.db.feedback.version,
         )
@@ -407,8 +406,7 @@ class QueryService:
         statements from different worker threads genuinely overlap: the
         database's admission gate (shared for SELECTs) and the engine's
         per-statement executors make that safe, and parameter bindings
-        travel as thread-local cells snapshotted by the executing
-        thread."""
+        are thread-local cells set and read by the executing thread."""
         with self._lock:
             session.last_used = self._time()
             if arrival is None:
@@ -430,9 +428,7 @@ class QueryService:
                     )
         # execute WITHOUT the service lock: concurrent submitters overlap
         # here (the expensive part); everything below re-acquires it
-        result = self.db._execute_physical(
-            plan.logical, plan.physical, param_cells=plan.param_cells
-        )
+        result = self.db._execute_physical(plan.logical, plan.physical)
         with self._lock:
             metrics = result.metrics
             metrics.compile_seconds = compile_seconds

@@ -255,9 +255,9 @@ def write_segment_file(
     :func:`~repro.storage.durable.atomic_write` path — temp file, fsync,
     ``os.replace`` — and counts as one durability barrier when an
     ``injector`` is armed. Spill files pass ``durable=False``: they are
-    scratch state recomputed after any crash, and they are written from
-    parallel partition tasks, so routing them through the barrier
-    counter would make crash points scheduling-dependent."""
+    scratch state recomputed after any crash, and they are written by
+    concurrently admitted statements, so routing them through the
+    barrier counter would make crash points scheduling-dependent."""
     from .durable import atomic_write
 
     blob, footer = encode_segment(rows, width)

@@ -322,6 +322,65 @@ class TestDurabilityLifecycle:
         db.close()
 
 
+# -- state written by older versions ----------------------------------------
+
+
+#: name of a ClusterConfig field that older snapshots and WAL config
+#: records still carry (the removed intra-query parallelism knob)
+LEFTOVER_FIELD = "_".join(("intra", "query", "parallelism"))
+
+
+def with_leftover_field(config):
+    """``config`` carrying :data:`LEFTOVER_FIELD`, which ClusterConfig
+    no longer declares: what snapshots and WAL config records written
+    while it existed unpickle to."""
+    object.__setattr__(config, LEFTOVER_FIELD, 2)
+    return config
+
+
+class TestLeftoverConfigField:
+    @pytest.mark.parametrize("override", [False, True])
+    def test_checkpoint_file_restores(self, tmp_path, override):
+        db = Database(
+            with_leftover_field(
+                ClusterConfig(machines=2, cores_per_machine=2, segment_rows=4)
+            )
+        )
+        run_workload(db, workload_ops())
+        want = state_fingerprint(db)
+        snap = str(tmp_path / "snap.repro")
+        db.save(snap)
+        db.close()
+        with open(snap, "rb") as handle:
+            assert LEFTOVER_FIELD.encode() in handle.read()
+        restored = Database.restore(snap, recover_config() if override else None)
+        assert state_fingerprint(restored) == want
+        restored.close()
+
+    @pytest.mark.parametrize("override", [False, True])
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_wal_data_dir_recovers(self, tmp_path, override, checkpoint):
+        home = tmp_path / "d"
+        db = Database(with_leftover_field(durable_config(home)))
+        ops = workload_ops()
+        run_workload(db, ops[:4])
+        if checkpoint:
+            db.checkpoint()
+        run_workload(db, ops[4:])
+        want = state_fingerprint(db)
+        db.close()
+        persisted = b"".join(path.read_bytes() for path in home.iterdir())
+        assert LEFTOVER_FIELD.encode() in persisted
+        recovered = Database.restore(
+            str(home), recover_config() if override else None
+        )
+        assert state_fingerprint(recovered) == want
+        assert recovered.durability.records_replayed == (
+            len(ops) - 4 if checkpoint else len(ops)
+        )
+        recovered.close()
+
+
 # -- the exhaustive crash-point sweep ---------------------------------------
 
 

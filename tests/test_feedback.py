@@ -195,13 +195,13 @@ class TestPlanCacheStaleness:
         assert base == PlanCacheKey("select 1", 0, (), "")
         variants = [
             PlanCacheKey(
-                "select 1", 0, (), "", exec_fingerprint=("batch", "memory", 1)
+                "select 1", 0, (), "", exec_fingerprint=("batch", "memory")
             ),
             PlanCacheKey(
-                "select 1", 0, (), "", exec_fingerprint=("row", "disk", 1)
+                "select 1", 0, (), "", exec_fingerprint=("row", "disk")
             ),
             PlanCacheKey(
-                "select 1", 0, (), "", exec_fingerprint=("row", "memory", 4)
+                "select 1", 0, (), "", exec_fingerprint=("row", "memory")
             ),
             PlanCacheKey("select 1", 0, (), "", feedback_version=3),
         ]

@@ -647,3 +647,47 @@ def test_concurrent_mixed_api_and_wire_traffic():
 
     assert errors == []
     assert mismatches == []
+
+
+# -- the python -m repro.server command line ----------------------------------
+
+
+def test_every_server_option_parses_and_builds_a_config(tmp_path):
+    """Each flag alone, and all of them together, must yield a valid
+    ClusterConfig (``--slots`` once crashed every launch)."""
+    from repro.config import ClusterConfig
+    from repro.server.__main__ import build_config, build_parser
+
+    samples = []
+    for action in build_parser()._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if action.choices:
+            value = list(action.choices)[-1]
+        elif action.type is int:
+            value = "3"
+        elif action.type is float:
+            value = "2.5"
+        else:
+            value = str(tmp_path / action.dest)
+        samples.append((action.option_strings[0], value))
+    assert samples
+    for flag, value in samples:
+        argv = [flag, value]
+        if flag == "--durability" and value == "wal":
+            argv += ["--data-dir", str(tmp_path / "home")]
+        config = build_config(build_parser().parse_args(argv))
+        assert isinstance(config, ClusterConfig), flag
+    everything = [part for pair in samples for part in pair]
+    args = build_parser().parse_args(everything)
+    config = build_config(args)
+    assert config.storage_mode == args.storage_mode
+    assert config.durability_mode == args.durability
+    assert config.data_dir == args.data_dir
+
+
+def test_server_wal_without_data_dir_is_a_usage_error(capsys):
+    from repro.server.__main__ import main
+
+    assert main(["--durability", "wal"]) == 2
+    assert "--data-dir" in capsys.readouterr().err
