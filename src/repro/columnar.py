@@ -9,6 +9,16 @@ columns — stays in an ``object`` array and is processed by per-row
 fallback loops that call exactly the same Python code the row-at-a-time
 interpreter runs.
 
+A NULL-free VECTOR or MATRIX column whose cells all share one shape also
+has a **dense form**: one read-only, C-contiguous float64 block of shape
+``(n, d)`` or ``(n, r, c)`` plus an int64 label array (absent when every
+label is the default). The block is built lazily — the first time a
+kernel asks for it — and cached on the column; ``take``/``filter``/
+``concat`` carry it over, or else derive it on request from their
+source columns' blocks. Kernels may also produce a column that exists
+only as a block; its cells are then materialized on demand as views
+into the block, which is why blocks are read-only.
+
 The invariant that makes the row/batch equivalence contract hold (see
 ``docs/ENGINE.md``) is that materializing a column back to Python values
 (:meth:`ColumnData.pylist`) is lossless: ``float64 -> float``,
@@ -29,6 +39,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .types import DEFAULT_LABEL, Matrix, Vector
+
 #: int64 bound under which vectorized integer add/sub cannot overflow
 #: (one binary op over two operands below 2**62 stays inside int64).
 _INT_ADD_BOUND = 2**62
@@ -44,35 +56,140 @@ class ColumnData:
     for typed (non-object) arrays the data at null positions is
     unspecified and must never be read without consulting ``nulls``.
     Object arrays store ``None`` directly at null positions as well, so
-    per-row loops can consume them without a mask.
+    per-row loops can consume them without a mask. A column built by
+    :meth:`dense` holds only its block until ``data`` is first read.
     """
 
-    __slots__ = ("data", "nulls", "_pylist")
+    __slots__ = ("_data", "nulls", "_pylist", "_block", "labels", "_source")
 
-    def __init__(self, data: np.ndarray, nulls: Optional[np.ndarray] = None):
-        self.data = data
+    def __init__(
+        self,
+        data: Optional[np.ndarray],
+        nulls: Optional[np.ndarray] = None,
+        block: Optional[np.ndarray] = None,
+        labels: Optional[np.ndarray] = None,
+    ):
+        self._data = data
         if nulls is not None and not nulls.any():
             nulls = None
         self.nulls = nulls
         self._pylist: Optional[list] = None
+        #: the dense form: None until first asked for, False when the
+        #: column has none
+        self._block = block
+        #: per-row VECTOR labels of the dense form (None: all default)
+        self.labels = labels
+        #: for a slice or concatenation: builds the dense form from the
+        #: source columns' (so a base-table column converts once, not
+        #: once per query that joins or repartitions it)
+        self._source = None
+
+    @classmethod
+    def dense(
+        cls, values: np.ndarray, labels: Optional[np.ndarray] = None
+    ) -> "ColumnData":
+        """A NULL-free tensor column held as a block (a kernel's output)."""
+        values.flags.writeable = False
+        if labels is not None and not (labels != DEFAULT_LABEL).any():
+            labels = None
+        return cls(None, block=values, labels=labels)
 
     # -- classification -----------------------------------------------------
 
     @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            data = np.empty(len(self._block), dtype=object)
+            data[:] = self.cells(range(len(self._block)))
+            self._data = data
+        return self._data
+
+    @property
     def is_object(self) -> bool:
-        return self.data.dtype == object
+        return self._data is None or self._data.dtype == object
 
     @property
     def is_numeric(self) -> bool:
         """True for float64/int64 columns (vectorizable arithmetic)."""
-        return self.data.dtype in (np.float64, np.int64)
+        return self._data is not None and self._data.dtype in (np.float64, np.int64)
 
     @property
     def is_bool(self) -> bool:
-        return self.data.dtype == np.bool_
+        return self._data is not None and self._data.dtype == np.bool_
 
     def __len__(self) -> int:
-        return int(self.data.shape[0])
+        source = self._block if self._data is None else self._data
+        return int(source.shape[0])
+
+    # -- the dense form -----------------------------------------------------
+
+    def block(self, build: bool = True) -> Optional[np.ndarray]:
+        """The dense block (labels in :attr:`labels`), or None when the
+        column is not a NULL-free, shape-uniform tensor column of
+        C-contiguous cells. ``build=False`` only reports a block that
+        already exists."""
+        if self._block is None and build:
+            source, self._source = self._source, None
+            block, labels = (source and source()) or self._stack() or (False, None)
+            # labels first: a concurrent statement reading a cached
+            # base-table column sees the block only with its labels
+            self.labels = labels
+            self._block = block
+        return None if self._block is None or self._block is False else self._block
+
+    def _stack(self):
+        """(block, labels) stacked from the cells, or None."""
+        data = self._data
+        if self.nulls is not None or data.dtype != object or not len(data):
+            return None
+        kind = type(data[0])
+        if kind is not Vector and kind is not Matrix:
+            return None
+        shape = data[0].data.shape
+        for value in data:
+            if (
+                type(value) is not kind
+                or value.data.shape != shape
+                or not value.data.flags.c_contiguous
+            ):
+                return None
+        labels = None
+        if kind is Vector:
+            try:
+                labels = np.fromiter(
+                    (value.label for value in data), dtype=np.int64, count=len(data)
+                )
+            except OverflowError:
+                return None
+            if not (labels != DEFAULT_LABEL).any():
+                labels = None
+        return _read_only(np.stack([value.data for value in data])), labels
+
+    def cell_shape(self) -> Optional[tuple]:
+        """``()`` for a NULL-free typed scalar column, the common cell
+        shape for a column with a dense form, else None."""
+        if self.nulls is not None:
+            return None
+        if not self.is_object:
+            return ()
+        block = self.block()
+        return None if block is None else block.shape[1:]
+
+    def cells(self, indices) -> list:
+        """The Python values at ``indices``; a block-only column builds
+        just those cells, as views into its block."""
+        if self.nulls is not None:
+            values = self.pylist()
+            return [values[i] for i in indices]
+        if self._data is not None:
+            return self._data[np.asarray(indices, dtype=np.int64)].tolist()
+        block, labels = self._block, self.labels
+        if block.ndim == 3:
+            return [Matrix(block[i]) for i in indices]
+        return [
+            Vector(block[i], DEFAULT_LABEL if labels is None else int(labels[i]))
+            for i in indices
+        ]
 
     # -- construction -------------------------------------------------------
 
@@ -119,16 +236,6 @@ class ColumnData:
         data[:] = [value] * n
         return cls(data)
 
-    @classmethod
-    def from_object_array(cls, data: np.ndarray, nulls: Optional[np.ndarray] = None) -> "ColumnData":
-        """Wrap an object array built by a per-row loop; positions not
-        covered by the loop's mask hold ``None`` and are marked null."""
-        if nulls is None:
-            nulls = np.fromiter(
-                (value is None for value in data), dtype=np.bool_, count=len(data)
-            )
-        return cls(data, nulls)
-
     # -- materialization ----------------------------------------------------
 
     def pylist(self) -> list:
@@ -157,23 +264,38 @@ class ColumnData:
 
     # -- slicing ------------------------------------------------------------
 
-    def filter(self, mask: np.ndarray) -> "ColumnData":
-        return ColumnData(
-            self.data[mask], None if self.nulls is None else self.nulls[mask]
-        )
-
     def take(self, indices: np.ndarray) -> "ColumnData":
-        return ColumnData(
-            self.data[indices], None if self.nulls is None else self.nulls[indices]
+        """Rows by position (or boolean mask). The dense form is sliced
+        along: now if it exists, else on first request, from the
+        source's."""
+        block = self._block
+        sliced = block is not None and block is not False
+        out = ColumnData(
+            None if self._data is None else self._data[indices],
+            None if self.nulls is None else self.nulls[indices],
+            block=_read_only(block[indices]) if sliced else None,
+            labels=None if self.labels is None else self.labels[indices],
         )
+        if block is None and out.nulls is None and self._data.dtype == object:
+            out._source = lambda: _dense_parts([self], [indices])
+        return out
+
+    filter = take
 
     @classmethod
     def concat(cls, columns: List["ColumnData"]) -> "ColumnData":
         if len(columns) == 1:
             return columns[0]
+        if all(column.block(build=False) is not None for column in columns):
+            parts = _dense_parts(columns)
+            if parts is not None:
+                data = None
+                if all(column._data is not None for column in columns):
+                    data = np.concatenate([column._data for column in columns])
+                return cls(data, block=parts[0], labels=parts[1])
         datas = [column.data for column in columns]
-        if any(column.data.dtype == object for column in columns) and not all(
-            column.data.dtype == object for column in columns
+        if any(column.is_object for column in columns) and not all(
+            column.is_object for column in columns
         ):
             datas = [column.object_array() for column in columns]
         data = np.concatenate(datas)
@@ -181,7 +303,41 @@ class ColumnData:
             nulls = np.concatenate([column.null_mask() for column in columns])
         else:
             nulls = None
-        return cls(data, nulls)
+        out = cls(data, nulls)
+        if out.is_object and nulls is None:
+            out._source = lambda: _dense_parts(columns)
+        return out
+
+
+def _dense_parts(columns: List[ColumnData], picks=None):
+    """The concatenated dense forms (block, labels) of ``columns`` —
+    each sliced by its entry in ``picks`` — or None unless all have one
+    of a single cell shape."""
+    blocks = [column.block() for column in columns]
+    if any(block is None for block in blocks) or len(
+        {block.shape[1:] for block in blocks}
+    ) != 1:
+        return None
+    if picks is not None:
+        blocks = [block[pick] for block, pick in zip(blocks, picks)]
+    values = _read_only(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+    if all(column.labels is None for column in columns):
+        return values, None
+    labels = [
+        np.full(len(column), DEFAULT_LABEL, dtype=np.int64)
+        if column.labels is None
+        else column.labels
+        for column in columns
+    ]
+    if picks is not None:
+        labels = [label[pick] for label, pick in zip(labels, picks)]
+    labels = np.concatenate(labels)
+    return values, labels if (labels != DEFAULT_LABEL).any() else None
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def truth(column: ColumnData) -> np.ndarray:
@@ -206,8 +362,55 @@ def full_mask(mask: Optional[np.ndarray], n: int) -> np.ndarray:
     return np.ones(n, dtype=np.bool_) if mask is None else mask
 
 
-def mask_indices(mask: Optional[np.ndarray], n: int):
-    """Iteration order of a per-row fallback loop under a mask."""
-    if mask is None:
-        return range(n)
-    return np.flatnonzero(mask)
+def group_ids(key_columns: List[ColumnData], n: int) -> Optional[np.ndarray]:
+    """Per-row group numbers, in first-seen order, for NULL-free
+    int64/float64 key columns; None when a dict must bucket the rows
+    (other key types, or float keys holding NaN, each of which is its
+    own group in a dict). Equal keys share a group, so ``0.0`` and
+    ``-0.0`` merge as they do in a dict."""
+    if not key_columns:
+        return np.zeros(n, dtype=np.int64)
+    code = None
+    for column in key_columns:
+        if column.nulls is not None or not column.is_numeric:
+            return None
+        if column.data.dtype == np.float64 and np.isnan(column.data).any():
+            return None
+        values = column.data
+        if code is not None:
+            # both factors are below n, so the mixed-radix code fits int64
+            values = code * n + np.unique(values, return_inverse=True)[1]
+        _, first, code = np.unique(values, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[code]
+
+
+class GroupLayout:
+    """Rows bucketed by group number (``0..count-1``): each group's
+    first row, and for each distinct group size the groups of that size
+    with a ``(groups, size)`` matrix of their row indices in row order —
+    the shape every columnar aggregate fold works on."""
+
+    __slots__ = ("count", "first_rows", "classes")
+
+    def __init__(self, gid: np.ndarray):
+        self.count = int(gid.max()) + 1 if len(gid) else 0
+        if self.count == 1:  # a scalar aggregate's single group
+            self.first_rows = np.zeros(1, dtype=np.int64)
+            self.classes = [(self.first_rows, np.arange(len(gid))[None, :])]
+            return
+        order = np.argsort(gid, kind="stable")
+        sizes = np.bincount(gid, minlength=self.count)
+        starts = np.cumsum(sizes) - sizes
+        self.first_rows = order[starts]
+        self.classes = []
+        for size in np.unique(sizes).tolist():
+            members = np.flatnonzero(sizes == size)
+            rows = order[starts[members][:, None] + np.arange(size)]
+            self.classes.append((members, rows))
+
+    def groups(self):
+        """``(group, row indices)`` pairs, for per-row folds."""
+        for members, rows in self.classes:
+            yield from zip(members.tolist(), rows)

@@ -58,10 +58,11 @@ def stable_hash(values) -> int:
         elif isinstance(value, LabeledScalar):
             hasher.update(b"\x03" + struct.pack("<d", value.value))
         elif isinstance(value, Vector):
-            hasher.update(b"\x05" + value.data.tobytes())
+            # + 0.0 turns -0.0 into 0.0, so equal tensors co-locate
+            hasher.update(b"\x05" + (value.data + 0.0).tobytes())
         elif isinstance(value, Matrix):
             hasher.update(b"\x06" + struct.pack("<q", value.rows))
-            hasher.update(value.data.tobytes())
+            hasher.update((value.data + 0.0).tobytes())
         else:
             hasher.update(b"\x07" + repr(value).encode("utf-8"))
     return int.from_bytes(hasher.digest(), "little")

@@ -42,14 +42,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..columnar import truth
+from ..columnar import ColumnData, GroupLayout, group_ids, truth
 from ..errors import (
     ExecutionError,
     FaultRecoveryExhaustedError,
     TransientClusterError,
 )
 from ..faults import FaultInjector
-from ..la.aggregates import SumAggregate
 from ..plan.expressions import EvalCost
 from ..types import Matrix, Vector
 from ..plan.physical import (
@@ -78,6 +77,7 @@ from .storage import (
     Batch,
     DistributedRelation,
     Partitioning,
+    column_value_bytes,
     partition_rows,
 )
 
@@ -1579,35 +1579,39 @@ class Executor:
         parts_out = []
         for slot, batch in enumerate(parts_in):
             cost = EvalCost()
-            key_lists = [
-                expr.evaluate_batch(batch, cost).pylist()
-                for expr in node.group_exprs
+            key_columns = [
+                expr.evaluate_batch(batch, cost) for expr in node.group_exprs
             ]
-            value_lists = [
-                spec.arg.evaluate_batch(batch, cost).pylist()
-                if spec.arg is not None
-                else None
+            arg_columns = [
+                spec.arg.evaluate_batch(batch, cost) if spec.arg is not None else None
                 for spec in specs
             ]
-            # bucket row indices by group key, then aggregate column by
-            # column: states see exactly the per-group row subsequence
-            # the row path feeds them, and the (integral) streamed-bytes
-            # totals are order-independent
-            groups: Dict[tuple, List[int]] = {}
-            for i in range(batch.length):
-                key = tuple(values[i] for values in key_lists)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = bucket = []
-                bucket.append(i)
-            group_indices = list(groups.values())
+            # number the rows' groups in first-seen order (vectorized for
+            # numeric keys, else through a dict exactly like the row
+            # path's), then aggregate column by column: states see the
+            # per-group row subsequence the row path feeds them, and the
+            # (integral) streamed-bytes totals are order-independent
+            gid = group_ids(key_columns, batch.length)
+            if gid is None:
+                numbers: Dict[tuple, int] = {}
+                gid = np.fromiter(
+                    (
+                        numbers.setdefault(key, len(numbers))
+                        for key in zip(*[column.pylist() for column in key_columns])
+                    ),
+                    dtype=np.int64,
+                    count=batch.length,
+                )
+            layout = GroupLayout(gid)
+            keys = [column.cells(layout.first_rows) for column in key_columns]
             spec_states = [
-                self._aggregate_column(spec, value_lists[j], group_indices, cost)
+                self._aggregate_column(spec, arg_columns[j], layout, cost)
                 for j, spec in enumerate(specs)
             ]
             out_rows = [
-                tuple(key) + tuple(states[g] for states in spec_states)
-                for g, key in enumerate(groups)
+                tuple(values[g] for values in keys)
+                + tuple(states[g] for states in spec_states)
+                for g in range(layout.count)
             ]
             # same spill rule as the row path (simulated reload — see
             # the DISTINCT-state note there); the sequential sum visits
@@ -1625,55 +1629,35 @@ class Executor:
     def _aggregate_column(
         self,
         spec,
-        values: Optional[list],
-        group_indices: List[List[int]],
+        column: Optional[ColumnData],
+        layout: GroupLayout,
         cost: EvalCost,
     ) -> list:
-        """Partial-aggregate one column over pre-bucketed groups,
-        returning one state per group (in group-first-seen order)."""
-        if spec.distinct:
-            states = []
-            for indices in group_indices:
-                state = set()
-                for i in indices:
-                    value = values[i] if values is not None else 1
-                    if value is not None:
-                        state.add(value)
-                        cost.stream_bytes += value_bytes(value)
-                states.append(state)
-            return states
-        aggregate = spec.aggregate
-        if (
-            values is not None
-            and isinstance(aggregate, SumAggregate)
-            and _uniform_tensor_column(values)
-        ):
-            # SUM over same-shaped vectors/matrices: accumulate in place
-            # in row order — each np.add performs the identical IEEE
-            # addition the chain of Vector/Matrix __add__ calls performs,
-            # so the state is bit-identical to the row path's
-            wrap = type(values[0])
-            size = value_bytes(values[0])
-            states = []
-            for indices in group_indices:
-                if len(indices) == 1:
-                    states.append(values[indices[0]])
+        """Partial-aggregate one column (None for ``COUNT(*)``) over
+        grouped rows, returning one state per group."""
+        if not spec.distinct and (column is None or column.nulls is None):
+            states = spec.aggregate.fold_column(column, layout)
+            if states is not None:
+                if column is None:
+                    cost.stream_bytes += 8.0 * sum(
+                        rows.size for _, rows in layout.classes
+                    )
                 else:
-                    acc = values[indices[0]].data + values[indices[1]].data
-                    for i in indices[2:]:
-                        np.add(acc, values[i].data, out=acc)
-                    states.append(wrap(acc))
-                cost.stream_bytes += size * len(indices)
-            return states
-        states = []
-        for indices in group_indices:
-            state = aggregate.create()
-            for i in indices:
+                    cost.stream_bytes += float(np.sum(column_value_bytes(column)))
+                return states
+        values = column.pylist() if column is not None else None
+        states = [None] * layout.count
+        for g, rows in layout.groups():
+            state = set() if spec.distinct else spec.aggregate.create()
+            for i in rows.tolist():
                 value = values[i] if values is not None else 1
-                state = aggregate.add(state, value)
+                if not spec.distinct:
+                    state = spec.aggregate.add(state, value)
+                elif value is not None:
+                    state.add(value)
                 if value is not None:
                     cost.stream_bytes += value_bytes(value)
-            states.append(state)
+            states[g] = state
         return states
 
     def _final_aggregate_batch(self, node: PFinalAggregate) -> DistributedRelation:
@@ -1835,27 +1819,6 @@ class RowJoinView:
         return self.values[self.index[column_id]]
 
 
-def _uniform_tensor_column(values: list) -> bool:
-    """True when every value is a Vector of one length or a Matrix of
-    one shape (no NULLs), so SUM can accumulate them in place."""
-    if not values:
-        return False
-    first = values[0]
-    cls = type(first)
-    if cls is Vector:
-        length = first.length
-        return all(
-            type(value) is Vector and value.length == length for value in values
-        )
-    if cls is Matrix:
-        shape = (first.rows, first.cols)
-        return all(
-            type(value) is Matrix and (value.rows, value.cols) == shape
-            for value in values
-        )
-    return False
-
-
 def _hashable(key: tuple) -> tuple:
     """SQL NULL keys are kept distinct per Python None semantics; values
     (including Vector/Matrix) are hashable already."""
@@ -1866,10 +1829,13 @@ def _sort_key(value):
     if value is None:
         return (0, 0)
     if type(value) is Vector:
-        # vectors carry no __lt__; order them lexicographically by
-        # element so ORDER BY over a vector column is well-defined (and
-        # identical for the full sort and the Top-K heap)
+        # tensors carry no __lt__; order vectors lexicographically by
+        # element, matrices by shape then entries, so ORDER BY over a
+        # tensor column is well-defined (and identical for the full sort
+        # and the Top-K heap)
         return (1, (0, tuple(value.data.tolist())))
+    if type(value) is Matrix:
+        return (1, (1, value.shape, tuple(value.data.ravel().tolist())))
     return (1, value)
 
 

@@ -16,6 +16,7 @@ batch path only changes *real* wall-clock time (see ``docs/ENGINE.md``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -69,25 +70,14 @@ class RowView:
         return self.values[self.index[column_id]]
 
 
-class BatchCursor:
-    """A movable row view over a batch, for per-row fallback loops: set
-    ``position`` and index by column id like a :class:`RowView`."""
-
-    __slots__ = ("columns", "index", "position")
-
-    def __init__(self, columns: List[list], index: Dict[int, int]):
-        self.columns = columns
-        self.index = index
-        self.position = 0
-
-    def __getitem__(self, column_id: int):
-        return self.columns[self.index[column_id]][self.position]
-
-
-def _column_value_bytes(column: ColumnData) -> np.ndarray:
+def column_value_bytes(column: ColumnData) -> np.ndarray:
     """Serialized size of every value in a column (vectorized where the
     dtype makes sizes constant); mirrors ``cluster.value_bytes``."""
     n = len(column)
+    block = column.block(build=False)
+    if block is not None:
+        # a dense column's cells share one shape: Vector/Matrix.size_bytes
+        return np.full(n, 8.0 * math.prod(block.shape[1:]) + 8.0)
     if column.is_numeric:
         sizes = np.full(n, 8.0)
     elif column.is_bool:
@@ -166,9 +156,6 @@ class Batch:
                 )
         return self._rows
 
-    def cursor(self) -> BatchCursor:
-        return BatchCursor([column.pylist() for column in self.columns], self.index)
-
     # -- byte accounting ----------------------------------------------------
 
     def row_bytes_array(self) -> np.ndarray:
@@ -177,7 +164,7 @@ class Batch:
         if self._row_bytes is None:
             total = np.full(self.length, ROW_OVERHEAD_BYTES)
             for column in self.columns:
-                total += _column_value_bytes(column)
+                total += column_value_bytes(column)
             self._row_bytes = total
         return self._row_bytes
 
@@ -447,6 +434,6 @@ class PartitionedTable:
             columns = [ColumnData(np.empty(0, dtype=object)) for _ in range(width)]
         sizes = np.full(len(rows), ROW_OVERHEAD_BYTES)
         for column in columns:
-            sizes += _column_value_bytes(column)
+            sizes += column_value_bytes(column)
         self._columnar_cache[slot] = (self._version, columns, sizes)
         return columns, sizes

@@ -72,6 +72,14 @@ class Aggregate:
     def finish(self, state):
         return state
 
+    def fold_column(self, column, layout) -> Optional[list]:
+        """Every group's state at once, from a NULL-free
+        :class:`~repro.columnar.ColumnData` (None for ``COUNT(*)``) and a
+        :class:`~repro.columnar.GroupLayout`; bit for bit what folding
+        :meth:`add` over each group's rows in row order gives. None when
+        only that row fold can guarantee it."""
+        return None
+
     def add_flops(self, arg_type: DataType) -> float:
         """FLOPs charged for accumulating one input value."""
         return _elements(arg_type)
@@ -86,6 +94,35 @@ def _elements(arg_type: DataType) -> float:
         cols = arg_type.cols if arg_type.cols is not None else DEFAULT_UNKNOWN_DIM
         return float(rows * cols)
     return 1.0
+
+
+def _fold_input(column) -> Optional[np.ndarray]:
+    """A column's values as one array — typed int64/float64 data or a
+    dense tensor block — or None for anything else."""
+    if column.is_numeric:
+        return column.data
+    return column.block()
+
+
+def _fold_groups(column, data: np.ndarray, layout, fold) -> list:
+    """One state per group: ``fold`` maps a ``(groups, size, ...)``
+    gather of ``data`` to one result row per group; a one-row group's
+    state is the value itself, as ``add`` returns it (label included)."""
+    states = [None] * layout.count
+    for members, rows in layout.classes:
+        if rows.shape[1] == 1:
+            picked = column.cells(rows[:, 0])
+        else:
+            results = fold(data[rows])
+            if results.ndim == 1:
+                picked = results.tolist()
+            elif results.ndim == 2:
+                picked = [Vector(values) for values in results]
+            else:
+                picked = [Matrix(values) for values in results]
+        for g, state in zip(members.tolist(), picked):
+            states[g] = state
+    return states
 
 
 def _numeric(value):
@@ -114,6 +151,22 @@ class SumAggregate(Aggregate):
 
     merge = add
 
+    def fold_column(self, column, layout):
+        data = _fold_input(column)
+        if data is None:
+            return None
+        if data.dtype == np.int64 and len(data):
+            # Python ints never overflow: every partial sum must fit int64
+            largest = max(abs(int(data.min())), abs(int(data.max())))
+            if largest * max(rows.shape[1] for _, rows in layout.classes) >= 2**63:
+                return None
+        # accumulate adds left to right like the chain of ``+``;
+        # np.add.reduce would not (it sums pairwise, and turns two -0.0
+        # rows into +0.0)
+        return _fold_groups(
+            column, data, layout, lambda rows: np.add.accumulate(rows, axis=1)[:, -1]
+        )
+
 
 class CountAggregate(Aggregate):
     name = "COUNT"
@@ -129,6 +182,13 @@ class CountAggregate(Aggregate):
 
     def merge(self, left, right):
         return left + right
+
+    def fold_column(self, column, layout):
+        states = [0] * layout.count
+        for members, rows in layout.classes:
+            for g in members.tolist():
+                states[g] = rows.shape[1]  # the column holds no NULLs
+        return states
 
     def add_flops(self, arg_type: DataType) -> float:
         return 1.0
@@ -181,6 +241,27 @@ class MinAggregate(Aggregate):
         return value if state is None else self._pick_pair(state, value)
 
     merge = add
+
+    def fold_column(self, column, layout):
+        data = _fold_input(column)
+        if data is None or (data.dtype == np.float64 and np.isnan(data).any()):
+            return None
+        if data.ndim == 1:
+            # min()/max() keep the first of equal values (0.0 vs -0.0
+            # included): the first-occurrence arg-extreme
+            first = np.argmin if self.name == "MIN" else np.argmax
+
+            def fold(values):
+                return values[np.arange(len(values)), first(values, axis=1)]
+
+        else:
+            # element-wise, left to right, as the chain of _pick_pair
+            pick = type(self)._np_pick
+
+            def fold(values):
+                return pick.accumulate(values, axis=1)[:, -1]
+
+        return _fold_groups(column, data, layout, fold)
 
 
 class MaxAggregate(MinAggregate):

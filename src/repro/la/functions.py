@@ -25,18 +25,22 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..columnar import ColumnData
 from ..errors import ExecutionError, RuntimeTypeError
 from ..types import (
     DataType,
     LabeledScalar,
     Matrix,
     MatrixType,
+    SigMatrix,
     Signature,
+    SigVector,
     Vector,
     VectorType,
     runtime_shape_check,
 )
 from ..types.scalar import DEFAULT_UNKNOWN_DIM
+from ..types.signature import value_shape
 
 #: Type of a FLOP-cost formula: receives the concrete dimensions bound for
 #: each templated variable and returns an estimated FLOP count.
@@ -52,7 +56,6 @@ def _dim(value: Optional[int]) -> float:
 def _type_dims(arg_types: Sequence[DataType], signature: Signature) -> Dict[str, float]:
     """Best-effort binding of the signature's dimension variables from the
     *declared* argument types, for cost estimation only (never raises)."""
-    from ..types.signature import SigMatrix, SigVector
 
     dims: Dict[str, float] = {}
 
@@ -69,20 +72,19 @@ def _type_dims(arg_types: Sequence[DataType], signature: Signature) -> Dict[str,
     return dims
 
 
-def _value_dims(args: Sequence[object], signature: Signature) -> Dict[str, float]:
-    """Binding of the signature's dimension variables from runtime values."""
-    from ..types.signature import SigMatrix, SigVector
-
+def _shape_dims(shapes: Sequence[tuple], signature: Signature) -> Dict[str, float]:
+    """Binding of the signature's dimension variables from runtime
+    argument shapes (see :func:`~repro.types.signature.value_shape`)."""
     dims: Dict[str, float] = {}
-    for param, arg in zip(signature.params, args):
-        if isinstance(param, SigVector) and isinstance(arg, Vector):
+    for param, shape in zip(signature.params, shapes):
+        if isinstance(param, SigVector) and len(shape) == 1:
             if isinstance(param.dim, str):
-                dims.setdefault(param.dim, float(arg.length))
-        elif isinstance(param, SigMatrix) and isinstance(arg, Matrix):
+                dims.setdefault(param.dim, float(shape[0]))
+        elif isinstance(param, SigMatrix) and len(shape) == 2:
             if isinstance(param.rows, str):
-                dims.setdefault(param.rows, float(arg.rows))
+                dims.setdefault(param.rows, float(shape[0]))
             if isinstance(param.cols, str):
-                dims.setdefault(param.cols, float(arg.cols))
+                dims.setdefault(param.cols, float(shape[1]))
     return dims
 
 
@@ -102,11 +104,15 @@ class BuiltinFunction:
     cost: CostFormula
     doc: str = ""
     kind: str = "blas1"
-    #: optional vectorized kernel for the batch interpreter, called as
-    #: ``batch_impl(arg_lists, indices)`` over rows that passed the
-    #: (uniform) shape check. Only registered where the batched kernel
-    #: performs the exact same IEEE operations as ``impl`` per row, so
-    #: results are bit-identical to the row-at-a-time path.
+    #: optional block kernel for the batch interpreter, called as
+    #: ``batch_impl(arg_columns, indices)`` with one NULL-free
+    #: :class:`~repro.columnar.ColumnData` per argument — tensor
+    #: arguments in dense form, scalars typed — that passed the shape
+    #: check; ``indices`` are the rows it covers (every row of the
+    #: chunk). Returns the result column, or None to have ``impl`` run
+    #: per row. Only registered where the kernel performs the exact IEEE
+    #: operations ``impl`` performs per row, so results are bit-identical
+    #: to the row-at-a-time path.
     batch_impl: Optional[Callable] = None
 
     def bind(self, arg_types: Sequence[DataType]) -> DataType:
@@ -119,7 +125,11 @@ class BuiltinFunction:
 
     def runtime_flops(self, args: Sequence[object]) -> float:
         """Exact FLOPs for one call over concrete runtime values."""
-        return self.cost(_value_dims(args, self.signature))
+        return self.shape_flops([value_shape(arg) for arg in args])
+
+    def shape_flops(self, shapes: Sequence[tuple]) -> float:
+        """Exact FLOPs for one call over arguments of these shapes."""
+        return self.cost(_shape_dims(shapes, self.signature))
 
     def __call__(self, *args):
         ok, message = runtime_shape_check(self.signature, args)
@@ -201,6 +211,12 @@ def matrix_vector_multiply(matrix: Matrix, vector: Vector) -> Vector:
     return Vector(matrix.data @ vector.data)
 
 
+# stacked matmul runs the same BLAS gemv per row that ``@`` runs
+matrix_vector_multiply.batch_impl = lambda columns, indices: ColumnData.dense(
+    np.matmul(columns[0].block(), columns[1].block()[:, :, None])[:, :, 0]
+)
+
+
 @register(
     "vector_matrix_multiply(VECTOR[a], MATRIX[a][b]) -> VECTOR[b]",
     lambda d: 2 * d.get("a", 1) * d.get("b", 1),
@@ -224,18 +240,12 @@ def outer_product(left: Vector, right: Vector) -> Matrix:
     return Matrix(np.outer(left.data, right.data))
 
 
-def _outer_product_batch(arg_lists, indices):
-    # one broadcast multiply over the whole chunk performs exactly the
-    # per-row elementwise multiplies np.outer performs, so each slice is
-    # bit-identical to the row path's result (einsum is NOT: it loses
-    # the sign of -0.0 products)
-    left = np.stack([arg_lists[0][i].data for i in indices])
-    right = np.stack([arg_lists[1][i].data for i in indices])
-    products = left[:, :, None] * right[:, None, :]
-    return [Matrix(products[k]) for k in range(len(indices))]
-
-
-outer_product.batch_impl = _outer_product_batch
+# one broadcast multiply performs exactly the per-row elementwise
+# multiplies np.outer performs (einsum is NOT equivalent: it loses the
+# sign of -0.0 products)
+outer_product.batch_impl = lambda columns, indices: ColumnData.dense(
+    columns[0].block()[:, :, None] * columns[1].block()[:, None, :]
+)
 
 
 @register(
@@ -251,6 +261,13 @@ def inner_product(left: Vector, right: Vector) -> float:
     return float(left.data @ right.data)
 
 
+# stacked (1, a) @ (a, 1) products run the per-row BLAS dot; einsum and
+# (A * B).sum(1) sum in other orders and are NOT equivalent
+inner_product.batch_impl = lambda columns, indices: ColumnData(
+    np.matmul(columns[0].block()[:, None, :], columns[1].block()[:, :, None])[:, 0, 0]
+)
+
+
 # ---------------------------------------------------------------------------
 # structural operations
 # ---------------------------------------------------------------------------
@@ -263,6 +280,11 @@ def inner_product(left: Vector, right: Vector) -> float:
 )
 def trans_matrix(matrix: Matrix) -> Matrix:
     return Matrix(matrix.data.T.copy())
+
+
+trans_matrix.batch_impl = lambda columns, indices: ColumnData.dense(
+    np.ascontiguousarray(columns[0].block().transpose(0, 2, 1))
+)
 
 
 @register(
@@ -363,6 +385,17 @@ def label_scalar(value, label: int) -> LabeledScalar:
 )
 def label_vector(vector: Vector, label: int) -> Vector:
     return vector.with_label(int(label))
+
+
+def _label_vector_batch(columns, indices):
+    # the labelled vectors share their data with the input, as with_label does
+    labels = columns[1].data
+    if labels.dtype != np.int64:
+        return None
+    return ColumnData.dense(columns[0].block(), labels)
+
+
+label_vector.batch_impl = _label_vector_batch
 
 
 @register(

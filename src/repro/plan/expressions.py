@@ -17,6 +17,7 @@ expression slots.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -32,7 +33,7 @@ from ..la import (
 )
 from ..la.functions import BuiltinFunction
 from ..types import BOOLEAN, DOUBLE, DataType, LabeledScalar, Matrix, Vector
-from ..types.signature import runtime_shape_check
+from ..types.signature import shape_check
 from ..types.scalar import DoubleType, IntegerType
 
 Row = Dict[int, object]
@@ -63,36 +64,6 @@ def _masked_elements(values: list, valid: np.ndarray) -> float:
     for i in np.flatnonzero(valid):
         total += _value_elements(values[i])
     return total
-
-
-def _uniform_tensor_args(arg_values: list, indices: np.ndarray, first: list) -> bool:
-    """True when every active row passes the same argument shapes to a
-    builtin — same Python type per position and same Vector length /
-    Matrix dims — so the shape check and per-call flop price computed
-    for the first row hold for all of them."""
-    for position, value in enumerate(first):
-        column = arg_values[position]
-        if len(indices) == len(column):
-            rest = column
-        else:
-            rest = [column[i] for i in indices]
-        cls = type(value)
-        if cls is Vector:
-            length = value.length
-            if not all(
-                type(other) is Vector and other.length == length for other in rest
-            ):
-                return False
-        elif cls is Matrix:
-            shape = (value.rows, value.cols)
-            if not all(
-                type(other) is Matrix and (other.rows, other.cols) == shape
-                for other in rest
-            ):
-                return False
-        elif not all(type(other) is cls for other in rest):
-            return False
-    return True
 
 
 class EvalCost:
@@ -335,6 +306,12 @@ class BinaryExpr(TypedExpr):
             valid = valid & ~left.nulls
         if right.nulls is not None:
             valid = valid & ~right.nulls
+        if not self._comparison and (left.is_object or right.is_object) and valid.all():
+            result = _dense_arithmetic(self._fn, left, right)
+            if result is not None:
+                if cost is not None:
+                    cost.stream_bytes += 8.0 * n * math.prod(result.block().shape[1:])
+                return result
         if cost is not None:
             if left.is_object or right.is_object:
                 left_values, right_values = left.pylist(), right.pylist()
@@ -419,6 +396,28 @@ class BinaryExpr(TypedExpr):
 
     def __repr__(self):
         return f"({self.left!r} {self.op} {self.right!r})"
+
+
+def _dense_arithmetic(fn, left: ColumnData, right: ColumnData) -> Optional[ColumnData]:
+    """Tensor arithmetic over whole dense blocks: tensor op tensor of one
+    shape, or tensor op int64/float64 scalar column (either side). Each
+    element sees the exact numpy operation ``Vector``/``Matrix`` apply
+    per row; None when the per-row path must run (and raise) instead."""
+    shapes = (left.cell_shape(), right.cell_shape())
+    if None in shapes or not any(shapes) or (all(shapes) and shapes[0] != shapes[1]):
+        return None
+    tensor_ndim = 1 + max(len(shape) for shape in shapes)
+    operands = []
+    for column, shape in zip((left, right), shapes):
+        if shape:
+            operands.append(column.block())
+        elif column.is_numeric:
+            # the per-row path converts the scalar with float()
+            scalars = column.data.astype(np.float64)
+            operands.append(scalars.reshape((-1,) + (1,) * (tensor_ndim - 1)))
+        else:
+            return None
+    return ColumnData.dense(fn(*operands))
 
 
 def _plain(value):
@@ -712,51 +711,53 @@ class FuncExpr(TypedExpr):
         for column in args:
             if column.nulls is not None:
                 valid = valid & ~column.nulls
-        out = np.empty(n, dtype=object)
-        indices = np.flatnonzero(valid)
-        if len(indices):
-            builtin = self.builtin
-            arg_values = [column.pylist() for column in args]
-            first = [values[indices[0]] for values in arg_values]
-            per_flops = builtin.runtime_flops(first)
-            flops = None
-            if float(per_flops).is_integer() and _uniform_tensor_args(
-                arg_values, indices, first
-            ):
-                # every row has the same argument shapes, so the shape
-                # check and the flop price are hoisted out of the loop
-                # (integral per-call flops make count * per_flops equal
-                # the row path's running float sum exactly)
-                ok, message = runtime_shape_check(builtin.signature, first)
-                if not ok:
-                    raise RuntimeTypeError(message)
-                flops = per_flops * len(indices)
-                if builtin.batch_impl is not None:
-                    results = builtin.batch_impl(arg_values, indices)
-                    for k, i in enumerate(indices):
-                        out[i] = results[k]
-                else:
-                    impl = builtin.impl
-                    for i in indices:
-                        out[i] = impl(*[values[i] for values in arg_values])
-            elif cost is None:
-                # non-uniform shapes: each call runs the same shape
-                # check + kernel the row path runs
-                for i in indices:
-                    out[i] = builtin(*[values[i] for values in arg_values])
-            else:
-                runtime_flops = builtin.runtime_flops
-                flops = 0.0
-                for i in indices:
-                    values = [column[i] for column in arg_values]
-                    flops += runtime_flops(values)
-                    out[i] = builtin(*values)
-            if cost is not None and flops is not None:
-                cost.calls += len(indices)
+        builtin = self.builtin
+        shapes = [None]
+        if n and valid.all():
+            shapes = [column.cell_shape() for column in args]
+        per_flops = None if None in shapes else builtin.shape_flops(shapes)
+        if per_flops is not None and float(per_flops).is_integer():
+            # every row active, one argument shape per position: the
+            # shape check and the flop price hold for every row, so they
+            # run once (integral per-call flops make n * per_flops equal
+            # the row path's running float sum exactly), and a
+            # registered block kernel covers the whole chunk
+            ok, message = shape_check(builtin.signature, shapes)
+            if not ok:
+                raise RuntimeTypeError(message)
+            result = None
+            if builtin.batch_impl is not None:
+                result = builtin.batch_impl(args, np.arange(n))
+            if result is None:
+                out = np.empty(n, dtype=object)
+                out[:] = [
+                    builtin.impl(*values)
+                    for values in zip(*[column.pylist() for column in args])
+                ]
+                result = ColumnData(out)
+            if cost is not None:
+                cost.calls += n
                 if builtin.kind == "blas3":
-                    cost.flops += flops
+                    cost.flops += per_flops * n
                 else:
-                    cost.blas1_flops += flops
+                    cost.blas1_flops += per_flops * n
+            return result
+        # NULLs, ragged shapes or a mask: each active row runs the same
+        # shape check + kernel the row path runs
+        out = np.empty(n, dtype=object)
+        arg_values = [column.pylist() for column in args]
+        flops = 0.0
+        for i in np.flatnonzero(valid):
+            values = [column[i] for column in arg_values]
+            if cost is not None:
+                flops += builtin.runtime_flops(values)
+                cost.calls += 1
+            out[i] = builtin(*values)
+        if cost is not None:
+            if builtin.kind == "blas3":
+                cost.flops += flops
+            else:
+                cost.blas1_flops += flops
         return ColumnData(out, ~valid)
 
     def children(self):

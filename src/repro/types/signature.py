@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import TypeCheckError
+from .tensor import Matrix, Vector
 from .scalar import (
     BOOLEAN,
     DOUBLE,
@@ -283,6 +284,14 @@ class Signature:
         return f"{self.name}({params}) -> {self.result!r}"
 
 
+def value_shape(value) -> tuple:
+    """A runtime value's tensor shape: ``(length,)`` for a Vector,
+    ``(rows, cols)`` for a Matrix, ``()`` for anything else."""
+    if isinstance(value, (Vector, Matrix)):
+        return value.data.shape
+    return ()
+
+
 def runtime_shape_check(
     signature: Signature, args: Sequence[object]
 ) -> Tuple[bool, str]:
@@ -291,8 +300,12 @@ def runtime_shape_check(
 
     Returns ``(ok, message)``; ``message`` is empty when ``ok``.
     """
-    from .tensor import Matrix, Vector  # local import avoids a cycle
+    return shape_check(signature, [value_shape(arg) for arg in args])
 
+
+def shape_check(signature: Signature, shapes: Sequence[tuple]) -> Tuple[bool, str]:
+    """:func:`runtime_shape_check` over argument shapes (see
+    :func:`value_shape`), so a whole dense column is checked at once."""
     bindings: Dict[str, int] = {}
 
     def check(sig_dim: SigDim, actual: int, position: int, what: str):
@@ -317,16 +330,16 @@ def runtime_shape_check(
             )
         return True, ""
 
-    for position, (param, arg) in enumerate(zip(signature.params, args), start=1):
-        if isinstance(param, SigVector) and isinstance(arg, Vector):
-            ok, message = check(param.dim, arg.length, position, "length")
+    for position, (param, shape) in enumerate(zip(signature.params, shapes), start=1):
+        if isinstance(param, SigVector) and len(shape) == 1:
+            ok, message = check(param.dim, shape[0], position, "length")
             if not ok:
                 return ok, message
-        elif isinstance(param, SigMatrix) and isinstance(arg, Matrix):
-            ok, message = check(param.rows, arg.rows, position, "row count")
+        elif isinstance(param, SigMatrix) and len(shape) == 2:
+            ok, message = check(param.rows, shape[0], position, "row count")
             if not ok:
                 return ok, message
-            ok, message = check(param.cols, arg.cols, position, "column count")
+            ok, message = check(param.cols, shape[1], position, "column count")
             if not ok:
                 return ok, message
     return True, ""

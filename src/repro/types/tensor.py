@@ -112,7 +112,8 @@ class Vector:
         )
 
     def __hash__(self):
-        return hash((self.length, self.data.tobytes()))
+        # + 0.0 turns -0.0 into 0.0: equal vectors must hash equal
+        return hash((self.length, (self.data + 0.0).tobytes()))
 
     def allclose(self, other: "Vector", rtol: float = 1e-9) -> bool:
         return self.length == other.length and bool(
@@ -209,7 +210,7 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.shape, self.data.tobytes()))
+        return hash((self.shape, (self.data + 0.0).tobytes()))
 
     def allclose(self, other: "Matrix", rtol: float = 1e-9) -> bool:
         return self.shape == other.shape and bool(
