@@ -19,6 +19,12 @@ source columns' blocks. Kernels may also produce a column that exists
 only as a block; its cells are then materialized on demand as views
 into the block, which is why blocks are read-only.
 
+A column also caches its **placement hashes** — ``stable_hash((v,))``
+of every value as one uint64 array, what a single-key hash exchange
+places rows by — once asked for; ``take``/``filter``/``concat`` carry
+them when they exist, so a base-table column in the memory-mode cache
+is hashed once per table version.
+
 The invariant that makes the row/batch equivalence contract hold (see
 ``docs/ENGINE.md``) is that materializing a column back to Python values
 (:meth:`ColumnData.pylist`) is lossless: ``float64 -> float``,
@@ -30,7 +36,8 @@ column is only promoted to a typed array when every value has exactly
 the same Python scalar type.
 
 This module deliberately imports nothing from ``repro.engine`` or
-``repro.plan`` so both layers can use it without import cycles.
+``repro.plan`` so both layers can use it without import cycles (the
+hash lives in the leaf module ``repro.hashing``).
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .hashing import stable_hash
 from .types import DEFAULT_LABEL, Matrix, Vector
 
 #: int64 bound under which vectorized integer add/sub cannot overflow
@@ -60,7 +68,7 @@ class ColumnData:
     :meth:`dense` holds only its block until ``data`` is first read.
     """
 
-    __slots__ = ("_data", "nulls", "_pylist", "_block", "labels", "_source")
+    __slots__ = ("_data", "nulls", "_pylist", "_block", "labels", "_source", "_hashes")
 
     def __init__(
         self,
@@ -83,6 +91,8 @@ class ColumnData:
         #: source columns' (so a base-table column converts once, not
         #: once per query that joins or repartitions it)
         self._source = None
+        #: per-row placement hashes (uint64), None until first asked for
+        self._hashes: Optional[np.ndarray] = None
 
     @classmethod
     def dense(
@@ -191,6 +201,27 @@ class ColumnData:
             for i in indices
         ]
 
+    def hashes(self) -> np.ndarray:
+        """Per-row ``stable_hash((value,))`` as uint64, cached. Typed
+        columns hash each distinct value once (``np.unique`` merges
+        ``0.0``/``-0.0``, which hash alike); NaN-bearing float columns
+        hash per row, since NaNs of different payloads hash apart."""
+        if self._hashes is None:
+            data = self.data
+            if data.dtype == object or (
+                data.dtype == np.float64 and np.isnan(data).any()
+            ):
+                hashes = _hash_each(self.pylist())
+            else:
+                distinct, inverse = np.unique(data, return_inverse=True)
+                hashes = _hash_each(distinct.tolist())[inverse]
+                if self.nulls is not None:
+                    hashes[self.nulls] = stable_hash((None,))
+            # one write of a finished array: concurrent statements may
+            # read a cached base-table column
+            self._hashes = hashes
+        return self._hashes
+
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -278,6 +309,8 @@ class ColumnData:
         )
         if block is None and out.nulls is None and self._data.dtype == object:
             out._source = lambda: _dense_parts([self], [indices])
+        if self._hashes is not None:
+            out._hashes = self._hashes[indices]
         return out
 
     filter = take
@@ -286,26 +319,31 @@ class ColumnData:
     def concat(cls, columns: List["ColumnData"]) -> "ColumnData":
         if len(columns) == 1:
             return columns[0]
+        out = None
         if all(column.block(build=False) is not None for column in columns):
             parts = _dense_parts(columns)
             if parts is not None:
                 data = None
                 if all(column._data is not None for column in columns):
                     data = np.concatenate([column._data for column in columns])
-                return cls(data, block=parts[0], labels=parts[1])
-        datas = [column.data for column in columns]
-        if any(column.is_object for column in columns) and not all(
-            column.is_object for column in columns
-        ):
-            datas = [column.object_array() for column in columns]
-        data = np.concatenate(datas)
-        if any(column.nulls is not None for column in columns):
-            nulls = np.concatenate([column.null_mask() for column in columns])
-        else:
-            nulls = None
-        out = cls(data, nulls)
-        if out.is_object and nulls is None:
-            out._source = lambda: _dense_parts(columns)
+                out = cls(data, block=parts[0], labels=parts[1])
+        if out is None:
+            datas = [column.data for column in columns]
+            if len({data.dtype for data in datas}) > 1:
+                # numpy would promote int64 + float64 to float64 (and
+                # bool to int): mixed columns concatenate as Python
+                # values, so pylist() stays exact
+                datas = [column.object_array() for column in columns]
+            data = np.concatenate(datas)
+            if any(column.nulls is not None for column in columns):
+                nulls = np.concatenate([column.null_mask() for column in columns])
+            else:
+                nulls = None
+            out = cls(data, nulls)
+            if out.is_object and nulls is None:
+                out._source = lambda: _dense_parts(columns)
+        if all(column._hashes is not None for column in columns):
+            out._hashes = np.concatenate([column._hashes for column in columns])
         return out
 
 
@@ -333,6 +371,12 @@ def _dense_parts(columns: List[ColumnData], picks=None):
         labels = [label[pick] for label, pick in zip(labels, picks)]
     labels = np.concatenate(labels)
     return values, labels if (labels != DEFAULT_LABEL).any() else None
+
+
+def _hash_each(values: list) -> np.ndarray:
+    return np.fromiter(
+        (stable_hash((value,)) for value in values), dtype=np.uint64, count=len(values)
+    )
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

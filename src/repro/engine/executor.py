@@ -914,7 +914,7 @@ class Executor:
                 key = tuple(expr.evaluate(view, cost) for expr in node.build_keys)
                 if any(value is None for value in key):
                     continue
-                table.setdefault(_hashable(key), []).append(row)
+                table.setdefault(key, []).append(row)
             run.charge_eval(slot, len(build_rows), cost)
             run.rows_in += len(build_rows)
             tables.append(table)
@@ -932,7 +932,7 @@ class Executor:
                 key = tuple(expr.evaluate(view, cost) for expr in node.probe_keys)
                 if any(value is None for value in key):
                     continue
-                matches = table.get(_hashable(key))
+                matches = table.get(key)
                 if not matches:
                     continue
                 for build_row in matches:
@@ -1000,14 +1000,14 @@ class Executor:
             for row in rows:
                 view = child.view(row)
                 key = tuple(expr.evaluate(view, cost) for expr in node.group_exprs)
-                bucket = groups.get(_hashable(key))
+                bucket = groups.get(key)
                 if bucket is None:
                     states = [
                         set() if spec.distinct else spec.aggregate.create()
                         for spec in node.aggregates
                     ]
                     bucket = [key, states]
-                    groups[_hashable(key)] = bucket
+                    groups[key] = bucket
                 states = bucket[1]
                 for i, spec in enumerate(node.aggregates):
                     value = (
@@ -1053,9 +1053,9 @@ class Executor:
             for row in rows:
                 key = row[:key_count]
                 states = row[key_count:]
-                bucket = merged.get(_hashable(key))
+                bucket = merged.get(key)
                 if bucket is None:
-                    merged[_hashable(key)] = [key, list(states)]
+                    merged[key] = [key, list(states)]
                 else:
                     existing = bucket[1]
                     for i, spec in enumerate(node.aggregates):
@@ -1099,7 +1099,7 @@ class Executor:
         for slot, rows in enumerate(parts_in):
             seen = {}
             for row in rows:
-                seen.setdefault(_hashable(row), row)
+                seen.setdefault(row, row)
             out = list(seen.values())
             run.charge_cpu(
                 slot,
@@ -1355,40 +1355,59 @@ class Executor:
             self.cluster.record(run)
             return DistributedRelation(child.column_ids, parts_out, SINGLE)
 
-        # hash repartition: vectorized key evaluation, per-row placement.
-        # The map side buckets in (source slot, row) order — fixing the
-        # per-target batch order and the balanced first-seen key
-        # assignment — and the reduce side concatenates and charges the
-        # receive.
+        # hash repartition. The map side evaluates the keys and places
+        # each row: a single key by its column's cached placement hashes,
+        # balanced placement (first-seen key assignment) and multi-key
+        # tuples per row. Then every row moves in one pass: the sources
+        # concatenated in slot order, stably sorted by target and cut
+        # into contiguous per-target slices, so each target receives its
+        # rows in (source slot, row) order, as the row path appends them.
         balanced = self.cluster.config.balanced_placement
         balanced_assignment: Dict[tuple, int] = {}
-        scattered: List[List[Batch]] = [[] for _ in range(self.slots)]
+        sources: List[Batch] = []
+        targets: List[np.ndarray] = []
         for slot, batch in enumerate(source_parts):
             cost = EvalCost()
-            keys = self._join_keys_batch(batch, node.keys, cost)
+            keys = [expr.evaluate_batch(batch, cost) for expr in node.keys]
             moved = batch.total_bytes()
             run.charge_eval(slot, batch.length, cost)
             run.charge_disk(slot, moved)  # map output spill
             run.charge_network(moved)
             run.rows_in += batch.length
-            buckets: List[List[int]] = [[] for _ in range(self.slots)]
-            for i, key in enumerate(keys):
-                if balanced:
-                    target = balanced_assignment.setdefault(
-                        key, len(balanced_assignment) % self.slots
-                    )
-                else:
-                    target = stable_hash(key) % self.slots
-                buckets[target].append(i)
-            for target, indices in enumerate(buckets):
-                if indices:
-                    scattered[target].append(
-                        batch.take(np.asarray(indices, dtype=np.int64))
-                    )
+            if not batch.length:
+                continue
+            if len(keys) == 1 and not balanced:
+                placed = keys[0].hashes() % np.uint64(self.slots)
+            else:
+                placed = np.fromiter(
+                    (
+                        balanced_assignment.setdefault(
+                            key, len(balanced_assignment) % self.slots
+                        )
+                        if balanced
+                        else stable_hash(key) % self.slots
+                        for key in _key_tuples(keys, batch.length)
+                    ),
+                    dtype=np.int64,
+                    count=batch.length,
+                )
+            sources.append(batch)
+            targets.append(placed.astype(np.int64, copy=False))
 
+        target = np.concatenate(targets) if targets else np.zeros(0, np.int64)
+        counts = np.bincount(target, minlength=self.slots).tolist()
+        moved_rows = Batch.concat(child.column_ids, sources).take(
+            np.argsort(target, kind="stable")
+        )
         parts_out = []
-        for slot, pieces in enumerate(scattered):
-            received_batch = Batch.concat(child.column_ids, pieces)
+        start = 0
+        for slot, count in enumerate(counts):
+            received_batch = (
+                moved_rows.take(slice(start, start + count))
+                if count
+                else Batch.empty_like(child.column_ids)
+            )
+            start += count
             received = received_batch.total_bytes()
             # reduce-side staging above the budget spills before the read
             if self._spill_state(run, slot, received):
@@ -1403,28 +1422,12 @@ class Executor:
         self.cluster.record(run)
         return DistributedRelation(child.column_ids, parts_out, node.partitioning)
 
-    def _join_keys_batch(
-        self, batch: Batch, key_exprs, cost: EvalCost
-    ) -> List[tuple]:
-        """Per-row key tuples for a join side (None keys included; the
-        callers skip them like the row path does)."""
-        key_lists = [
-            expr.evaluate_batch(batch, cost).pylist() for expr in key_exprs
-        ]
-        if not key_lists:
-            return [()] * batch.length
-        return list(zip(*key_lists))
-
     def _build_join_table(
         self, batch: Batch, key_exprs
-    ) -> Tuple[EvalCost, Dict[tuple, List[int]]]:
+    ) -> Tuple[EvalCost, "_JoinTable"]:
         cost = EvalCost()
-        table: Dict[tuple, List[int]] = {}
-        for i, key in enumerate(self._join_keys_batch(batch, key_exprs, cost)):
-            if any(value is None for value in key):
-                continue
-            table.setdefault(_hashable(key), []).append(i)
-        return cost, table
+        keys = [expr.evaluate_batch(batch, cost) for expr in key_exprs]
+        return cost, _JoinTable(keys, batch.length)
 
     def _assemble_join(
         self,
@@ -1459,9 +1462,9 @@ class Executor:
             raise ExecutionError("hash join probe side cannot be broadcast")
         column_ids = [column.column_id for column in node.columns]
 
-        # build per-slot hash tables; a broadcast build side is one shared
-        # chunk, but the row path re-evaluates its keys on every slot, so
-        # the identical cost is charged per slot here as well
+        # build per-slot join tables; a broadcast build side is one shared
+        # chunk and table, but the row path re-evaluates its keys on every
+        # slot, so the identical cost is charged per slot here as well
         if build_broadcast:
             shared = build_rel.partitions[0]
             shared_bytes = build_rel.partition_total_bytes(0)
@@ -1493,20 +1496,8 @@ class Executor:
         parts_out = []
         for slot, batch in enumerate(probe_parts):
             cost = EvalCost()
-            table = tables[slot]
-            probe_indices: List[int] = []
-            build_indices: List[int] = []
-            for i, key in enumerate(
-                self._join_keys_batch(batch, node.probe_keys, cost)
-            ):
-                if any(value is None for value in key):
-                    continue
-                matches = table.get(_hashable(key))
-                if not matches:
-                    continue
-                for j in matches:
-                    probe_indices.append(i)
-                    build_indices.append(j)
+            keys = [expr.evaluate_batch(batch, cost) for expr in node.probe_keys]
+            probe_indices, build_indices = tables[slot].match(keys, batch.length)
             joined = self._assemble_join(
                 column_ids,
                 batch,
@@ -1674,9 +1665,9 @@ class Executor:
             for row in rows:
                 key = row[:key_count]
                 states = row[key_count:]
-                bucket = merged.get(_hashable(key))
+                bucket = merged.get(key)
                 if bucket is None:
-                    merged[_hashable(key)] = [key, list(states)]
+                    merged[key] = [key, list(states)]
                 else:
                     existing = bucket[1]
                     for i, spec in enumerate(node.aggregates):
@@ -1721,8 +1712,8 @@ class Executor:
             seen: Dict[tuple, int] = {}
             keep: List[int] = []
             for i, row in enumerate(rows):
-                if _hashable(row) not in seen:
-                    seen[_hashable(row)] = i
+                if row not in seen:
+                    seen[row] = i
                     keep.append(i)
             out = batch.take(np.asarray(keep, dtype=np.int64))
             run.charge_cpu(
@@ -1819,10 +1810,71 @@ class RowJoinView:
         return self.values[self.index[column_id]]
 
 
-def _hashable(key: tuple) -> tuple:
-    """SQL NULL keys are kept distinct per Python None semantics; values
-    (including Vector/Matrix) are hashable already."""
-    return key
+def _key_tuples(columns: List[ColumnData], n: int) -> List[tuple]:
+    """Per-row key tuples (``None`` for NULL) of evaluated key columns."""
+    if not columns:
+        return [()] * n
+    return list(zip(*[column.pylist() for column in columns]))
+
+
+class _JoinTable:
+    """A batch hash join's build side, indexed for probing.
+
+    A single NULL-free int64/float64 key without NaN is stably argsorted
+    and probed by ``np.searchsorted`` when the probe key has the same
+    dtype; any other key goes through a dict of key tuples, as in the
+    row path (numpy and Python compare a large int with a float
+    differently). Both give the row path's output order: probe row
+    ascending, each probe row's matches in build order. NULL keys match
+    nothing, NaN probe keys neither, and ``0.0`` matches ``-0.0``."""
+
+    def __init__(self, keys: List[ColumnData], length: int):
+        self.keys = keys
+        self.length = length
+        self.sorted = None
+        self._dict: Optional[Dict[tuple, List[int]]] = None
+        key = keys[0] if len(keys) == 1 else None
+        if (
+            key is not None
+            and key.nulls is None
+            and key.is_numeric
+            and not (key.data.dtype == np.float64 and np.isnan(key.data).any())
+        ):
+            order = np.argsort(key.data, kind="stable")
+            self.sorted = (order, key.data[order])
+
+    def match(self, probe_keys: List[ColumnData], n: int):
+        """(probe rows, build rows) of every matching pair of the ``n``
+        probe rows."""
+        probe = probe_keys[0] if self.sorted is not None else None
+        if probe is not None and probe.is_numeric and (
+            probe.data.dtype == self.keys[0].data.dtype
+        ):
+            order, sorted_keys = self.sorted
+            lo = np.searchsorted(sorted_keys, probe.data, "left")
+            counts = np.searchsorted(sorted_keys, probe.data, "right") - lo
+            if probe.nulls is not None:
+                counts[probe.nulls] = 0
+            probe_rows = np.repeat(np.arange(n), counts)
+            # output position p of probe row i pairs with sorted build
+            # position lo[i] + (p - first output position of row i)
+            shift = np.repeat(np.cumsum(counts) - counts - lo, counts)
+            return probe_rows, order[np.arange(len(probe_rows)) - shift]
+        if self._dict is None:
+            table: Dict[tuple, List[int]] = {}
+            for j, key in enumerate(_key_tuples(self.keys, self.length)):
+                if not any(value is None for value in key):
+                    table.setdefault(key, []).append(j)
+            self._dict = table
+        probe_rows: List[int] = []
+        build_rows: List[int] = []
+        for i, key in enumerate(_key_tuples(probe_keys, n)):
+            if any(value is None for value in key):
+                continue
+            for j in self._dict.get(key, ()):
+                probe_rows.append(i)
+                build_rows.append(j)
+        return probe_rows, build_rows
 
 
 def _sort_key(value):

@@ -192,11 +192,14 @@ class Batch:
             row_bytes=None if self._row_bytes is None else self._row_bytes[mask],
         )
 
-    def take(self, indices: np.ndarray) -> "Batch":
+    def take(self, indices: Union[np.ndarray, slice]) -> "Batch":
+        """Rows by position array, or a contiguous ``slice`` of them."""
         return Batch(
             self.column_ids,
             [column.take(indices) for column in self.columns],
-            len(indices),
+            len(range(self.length)[indices])
+            if isinstance(indices, slice)
+            else len(indices),
             row_bytes=None
             if self._row_bytes is None
             else self._row_bytes[indices],
